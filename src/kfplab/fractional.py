@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .grids import GridField, GridSpec
+from .grids import GridField, GridSpec, node_phase, wavenumbers
 
 __all__ = [
     "SpectralField",
@@ -33,15 +33,6 @@ __all__ = [
     "dyadic_tail",
     "dyadic_tail_bound_check",
 ]
-
-
-def _fft_integers(n: int) -> np.ndarray:
-    return np.rint(np.fft.fftfreq(n) * n).astype(int)
-
-
-def _axis_phase(n: int) -> np.ndarray:
-    # nodes start at -L, so mode m carries e^{ik_m(-L)} = (-1)^m
-    return np.where(_fft_integers(n) % 2 == 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -63,32 +54,24 @@ class SpectralField:
     def from_grid(cls, f: GridField) -> "SpectralField":
         spec = f.spec
         axes = spec.x_axes + spec.v_axes
-        c = np.fft.fftn(f.values, axes=axes) / np.prod([spec.shape[a] for a in axes])
-        for a in axes:
-            n = spec.shape[a]
-            shape = [1] * c.ndim
-            shape[a] = n
-            c *= _axis_phase(n).reshape(shape)
-        return cls(spec, c)
+        c = np.fft.fftn(f.values, axes=axes) / np.prod(spec.shape[1:])
+        return cls(spec, c * _lattice_phase(spec))
 
     def to_grid(self) -> GridField:
         spec = self.spec
         axes = spec.x_axes + spec.v_axes
-        b = self.coeffs.copy()
-        for a in axes:
-            n = spec.shape[a]
-            shape = [1] * b.ndim
-            shape[a] = n
-            b *= _axis_phase(n).reshape(shape)
-        vals = np.fft.ifftn(b, axes=axes) * np.prod([spec.shape[a] for a in axes])
+        vals = (np.fft.ifftn(self.coeffs * _lattice_phase(spec), axes=axes)
+                * np.prod(spec.shape[1:]))
         return GridField(spec, vals.real)
 
-    def k_axis(self, i: int) -> np.ndarray:
-        """Position wavenumbers along axis i, in (pi/L_x) steps."""
-        return np.pi / self.spec.L_x * _fft_integers(self.spec.n_x)
 
-    def xi_axis(self, i: int) -> np.ndarray:
-        return np.pi / self.spec.L_v * _fft_integers(self.spec.n_v)
+def _lattice_phase(spec: GridSpec) -> np.ndarray:
+    """node_phase on every position and velocity axis, multiplied out over
+    the (k, xi) lattice and broadcast against the time axis."""
+    phase = np.ones(1)
+    for n in spec.shape[1:]:
+        phase = np.multiply.outer(phase, node_phase(n))
+    return phase
 
 
 def spectral_l2(f: GridField) -> float:
@@ -104,7 +87,7 @@ def spectral_l2(f: GridField) -> float:
 def _x_radial_multiplier(spec: GridSpec, power: float) -> np.ndarray:
     """|k|^power on the position frequency mesh, zero at the zero mode,
     shaped to broadcast over a full (t, x, v) array."""
-    ks = np.pi / spec.L_x * _fft_integers(spec.n_x)
+    ks = wavenumbers(spec.n_x, spec.L_x)
     mesh = np.meshgrid(*([ks] * spec.d), indexing="ij")
     rad2 = sum(m * m for m in mesh)
     out = np.zeros_like(rad2, dtype=float)
@@ -128,9 +111,8 @@ def dv_frac_sixth(u: GridField) -> tuple:
     spec = u.spec
     F = np.fft.fftn(u.values, axes=spec.x_axes + spec.v_axes)
     F *= _x_radial_multiplier(spec, 1.0 / 3.0)
-    xis = np.pi / spec.L_v * _fft_integers(spec.n_v)
+    xis = wavenumbers(spec.n_v, spec.L_v)
     if spec.n_v % 2 == 0:
-        xis = xis.copy()
         xis[spec.n_v // 2] = 0.0  # unpaired Nyquist mode dropped for odd-order derivative
     out = []
     for j in range(spec.d):

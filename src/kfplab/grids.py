@@ -1,9 +1,14 @@
-"""Gridded space-time fields.
+"""Gridded space-time fields and their frequency lattice.
 
 A GridField carries real values on a uniform time window crossed with
 periodic tensor grids in position and velocity.  Position axes live on
 [-L_x, L_x) and velocity axes on [-L_v, L_v), endpoint excluded; the time
 axis is node-inclusive on [t_lo, t_hi] and does not wrap.
+
+A periodic axis of n nodes on [-L, L) carries the Fourier modes
+e^{i k y} with k = (pi/L) m, m running over the FFT integer order
+0, 1, ..., -1.  Every spectral route in the package takes its lattice from
+fft_integers, wavenumbers and node_phase.
 """
 
 from __future__ import annotations
@@ -13,9 +18,25 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["GridSpec", "GridField", "MAGIC"]
+__all__ = ["GridSpec", "GridField", "MAGIC", "fft_integers", "wavenumbers",
+           "node_phase"]
 
 MAGIC = b"KFP-GRIDFIELD-01"
+
+
+def fft_integers(n: int) -> np.ndarray:
+    """Mode numbers m of an n-point periodic axis in FFT order."""
+    return np.rint(np.fft.fftfreq(n) * n).astype(int)
+
+
+def wavenumbers(n: int, half_length: float) -> np.ndarray:
+    """Wavenumbers (pi/L) m of an n-point periodic axis on [-L, L)."""
+    return np.pi / half_length * fft_integers(n)
+
+
+def node_phase(n: int) -> np.ndarray:
+    """e^{-i k L} per mode: nodes start at -L, so mode m carries (-1)^m."""
+    return np.where(fft_integers(n) % 2 == 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -75,6 +96,14 @@ class GridSpec:
     @property
     def v_nodes(self) -> np.ndarray:
         return -self.L_v + self.dv * np.arange(self.n_v)
+
+    def mesh(self) -> tuple:
+        """Dense node coordinates (t, x, v): t of the grid shape, x and v
+        with a trailing axis of length d."""
+        mesh = np.meshgrid(self.t_nodes, *([self.x_nodes] * self.d),
+                           *([self.v_nodes] * self.d), indexing="ij")
+        return (mesh[0], np.stack(mesh[1:1 + self.d], axis=-1),
+                np.stack(mesh[1 + self.d:], axis=-1))
 
     @property
     def x_axes(self) -> tuple:

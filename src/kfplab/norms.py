@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, GridSpec
+from .grids import GridField, GridSpec, wavenumbers
 from .weights import ProductWeight, Weight1D, unit_product_weight
 
 __all__ = [
@@ -180,7 +180,7 @@ def spectral_derivative(values: np.ndarray, axis: int, half_length: float,
     """Differentiate along a periodic axis of physical length 2*half_length
     via the FFT.  The unpaired Nyquist mode is dropped for odd orders."""
     n = values.shape[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
+    k = wavenumbers(n, half_length)
     if order == 1:
         mult = 1j * k
         if n % 2 == 0:

@@ -11,14 +11,23 @@ xi -> xi - tau k, whose solution is the explicit integral
     E(tau)       = int_0^tau (xi - s k) . A(t - s) (xi - s k) ds.
 
 E is piecewise cubic in tau between the coefficient breakpoints, so it is
-accumulated in closed form; the remaining history integral is done with
-Gauss-Legendre panels graded geometrically away from tau = 0 (where the
-kernel varies fastest) and split at source and coefficient edges.  Sources
-are sums of separable terms whose spatial transforms are known in closed
-form at any frequency, which is what the shifted argument requires; the
-continuum transform of a rapidly decaying profile is converted to series
-coefficients by dividing by the box volume, so the only errors are
-quadrature, the exponent cutoff, and that periodization.
+accumulated in closed form.  One driver, _history, does the remaining
+integral for every source kind: Gauss-Legendre panels graded geometrically
+away from tau = 0 (where the kernel varies fastest) and split at source and
+coefficient edges, the kernel cut to zero where its exponent passes
+SolveConfig.exponent_cut, and a contraction over the panel nodes.  A source
+kind supplies only its weights and its shifted transform at the nodes:
+
+- gaussian terms have spatial transforms known in closed form at any
+  frequency, so they run on the full lattice; the continuum transform of a
+  rapidly decaying profile becomes series coefficients on division by the
+  box volume;
+- a v_mode term is lattice data at k = 0, where xi - tau k stays at omega,
+  so it runs on the one-point lattice (0, omega);
+- a sampled GridField is interpolated between its time slices.
+
+The one exponent cut applies to every kind, so the only errors are
+quadrature, that cut, and the periodization.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 from .coefficients import CoefficientField, LowerOrderTerms
 from .fractional import SpectralField
 from .geometry import PhasePoint
-from .grids import GridField, GridSpec
+from .grids import GridField, GridSpec, node_phase, wavenumbers
 from .norms import spectral_derivative, transport_derivative
 
 _PULSE_CUT = 12.0  # pulse support is truncated at this many widths
@@ -296,11 +305,8 @@ def _default_h0(delta, lam, ks, xis, h_max):
 
 
 def _freq_axes(spec: GridSpec):
-    ks = [np.pi / spec.L_x * np.fft.fftfreq(spec.n_x, 1.0 / spec.n_x)
-          for _ in range(spec.d)]
-    xis = [np.pi / spec.L_v * np.fft.fftfreq(spec.n_v, 1.0 / spec.n_v)
-           for _ in range(spec.d)]
-    return ks, xis
+    return ([wavenumbers(spec.n_x, spec.L_x)] * spec.d,
+            [wavenumbers(spec.n_v, spec.L_v)] * spec.d)
 
 
 def _quadratics(A, ks, xis):
@@ -346,18 +352,46 @@ def _lattice_exponent(pieces, taus_r):
     return E
 
 
-def _scalar_exponent(a: CoefficientField, t_out, omega, taus):
-    """int_0^tau omega . A(t_out - s) omega ds for position-constant modes."""
-    if a.kind == "constant_spd":
-        return float(omega @ np.asarray(a.matrix) @ omega) * taus
-    out = np.zeros_like(taus)
-    edges = [0.0] + sorted(t_out - b for b in a.breakpoints if t_out - b > 0.0)
-    for p, lo in enumerate(edges):
-        hi = edges[p + 1] if p + 1 < len(edges) else math.inf
-        A = _matrix_at(a, t_out - (lo + 0.5 * min(hi - lo, 1.0)))
-        q = float(omega @ A @ omega)
-        out = out + q * (np.clip(taus, lo, hi) - lo)
-    return out
+def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
+             knots=()):
+    """The history integral of one source on the lattice (ks, xis), yielded
+    as (time index, lattice coefficients) for each output time past the
+    start of the source window (lo, hi).
+
+    source(t_out, taus) returns the source's weights at the nodes taus and
+    its transform at (k, xi - tau k), broadcastable to (len(taus),) +
+    lattice.  Panels are split at the coefficient breakpoints and at the
+    knots (absolute times where the source has a kink), and refined to
+    fine_step over the window.  The kernel exp(-lam tau - E(tau)) is cut to
+    zero where its exponent passes cfg.exponent_cut.
+    """
+    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
+                                                       cfg.h_max)
+    gl_x, gl_w = _leggauss(cfg.quad_order)
+    lo, hi = window
+    lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
+    for it, t_out in enumerate(t_nodes):
+        tau_hi = t_out - lo
+        if tau_hi <= 0:
+            continue
+        tau_lo = max(0.0, t_out - hi)
+        pieces = _exponent_pieces(a, t_out, ks, xis, tau_hi)
+        edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
+        fine = [(t_out - hi, t_out - lo, fine_step)] if fine_step is not None else []
+        acc = np.zeros(lattice, dtype=complex)
+        for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth,
+                                  edges, fine):
+            taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
+            wts = 0.5 * (p_hi - p_lo) * gl_w
+            taus_r = taus.reshape((-1,) + (1,) * len(lattice))
+            X = lam * taus_r + _lattice_exponent(pieces, taus_r)
+            K = np.where(X <= cfg.exponent_cut,
+                         np.exp(-np.minimum(X, cfg.exponent_cut)), 0.0)
+            if not K.any():
+                continue
+            weights, shifted = source(t_out, taus)
+            acc += np.tensordot(wts * weights, K * shifted, axes=(0, 0))
+        yield it, acc
 
 
 # ---------------------------------------------------------------------------
@@ -416,111 +450,57 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     if f.d != out_spec.d:
         raise ValueError("source/grid dimension mismatch")
 
-    d = out_spec.d
     ks, xis = _freq_axes(out_spec)
-    lattice = (out_spec.n_x,) * d + (out_spec.n_v,) * d
-    coeffs = np.zeros((out_spec.n_t,) + lattice, dtype=complex)
-
-    gauss_terms = [t for t in f.terms if t.factor.kind == "gaussian"]
-    mode_terms = [t for t in f.terms if t.factor.kind == "v_mode"]
-    xhats = [_x_hat(t.factor, ks) for t in gauss_terms]
-
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
-                                                       cfg.h_max)
-    gl_x, gl_w = _leggauss(cfg.quad_order)
-
-    for it, t_out in enumerate(out_spec.t_nodes):
-        ranges = []
-        for term, xhat in zip(gauss_terms, xhats):
-            lo, hi = term.profile.support()
-            if t_out - lo > 0:
-                ranges.append((term, xhat, max(0.0, t_out - hi), t_out - lo))
-        if not ranges:
+    coeffs = np.zeros(out_spec.shape, dtype=complex)
+    for term in f.terms:
+        prof, fac = term.profile, term.factor
+        if fac.kind != "gaussian":
             continue
-        tau_max = max(r[3] for r in ranges)
-        pieces = _exponent_pieces(a, t_out, ks, xis, tau_max)
-        piece_edges = [p[0] for p in pieces[1:]]
-        for term, xhat, tau_lo, tau_hi in ranges:
-            fine = []
-            step = term.profile.fine_step()
-            if step is not None:
-                plo, phi = term.profile.support()
-                fine.append((t_out - phi, t_out - plo, step))
-            acc = np.zeros(lattice, dtype=complex)
-            for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth,
-                                      edges=piece_edges, fine_spans=fine):
-                taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
-                wts = 0.5 * (p_hi - p_lo) * gl_w
-                pv = term.profile.value(t_out - taus)
-                if not np.any(pv):
-                    continue
-                taus_r = taus.reshape((-1,) + (1,) * (2 * d))
-                X = lam * taus_r + _lattice_exponent(pieces, taus_r)
-                K = np.where(X <= cfg.exponent_cut,
-                             np.exp(-np.minimum(X, cfg.exponent_cut)), 0.0)
-                if not K.any():
-                    continue
-                V = _v_hat_shifted(term.factor, ks, xis, taus)
-                acc += np.tensordot(wts * pv, K * V, axes=(0, 0))
+        xhat = _x_hat(fac, ks)
+        for it, acc in _history(
+                a, lam, cfg, out_spec.t_nodes, ks, xis, prof.support(),
+                lambda t_out, taus: (prof.value(t_out - taus),
+                                     _v_hat_shifted(fac, ks, xis, taus)),
+                prof.fine_step()):
             coeffs[it] += acc * xhat
+    coeffs /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
 
-    coeffs /= (2.0 * out_spec.L_x) ** d * (2.0 * out_spec.L_v) ** d
-
-    for term in mode_terms:
-        _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs)
+    for term in f.terms:
+        if term.factor.kind == "v_mode":
+            _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs)
 
     return SpectralField(out_spec, coeffs).to_grid()
 
 
-def _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs):
-    """Exact lattice handling of a position-constant cosine source."""
-    d = out_spec.d
-    fac = term.factor
-    base = np.pi / out_spec.L_v
-    idx = []
-    for w in fac.mode_freq:
-        m = w / base
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError("v_mode frequency must sit on the velocity "
-                             "frequency lattice of the output grid")
-        m = int(round(m))
-        if abs(m) > out_spec.n_v // 2:
-            raise ValueError("v_mode frequency beyond the grid Nyquist")
-        idx.append(m)
-    omega = np.asarray(fac.mode_freq, dtype=float)
-    q_scale = float(omega @ omega)
-    h0 = cfg.h0 if cfg.h0 is not None else min(
-        1.0 / (a.delta * q_scale + lam + 1.0), cfg.h_max)
-    gl_x, gl_w = _leggauss(cfg.quad_order)
-    lo, hi = term.profile.support()
-    step = term.profile.fine_step()
+def _mode_indices(fac: SpaceFactor, spec: GridSpec) -> list:
+    """Velocity lattice indices of a v_mode frequency on the grid."""
+    ms = np.asarray(fac.mode_freq, dtype=float) / (np.pi / spec.L_v)
+    if np.any(np.abs(ms - np.round(ms)) > 1e-9):
+        raise ValueError("v_mode frequency must sit on the velocity "
+                         "frequency lattice of the output grid")
+    if np.any(np.abs(np.round(ms)) > spec.n_v // 2):
+        raise ValueError("v_mode frequency beyond the grid Nyquist")
+    return [int(m) for m in np.round(ms)]
 
-    for it, t_out in enumerate(out_spec.t_nodes):
-        tau_hi = t_out - lo
-        if tau_hi <= 0:
-            continue
-        tau_lo = max(0.0, t_out - hi)
-        edges = []
-        if a.kind == "time_piecewise":
-            edges = [t_out - b for b in a.breakpoints if 0 < t_out - b < tau_hi]
-        fine = [(t_out - hi, t_out - lo, step)] if step is not None else []
-        total = 0.0
-        for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth,
-                                  edges, fine):
-            taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
-            wts = 0.5 * (p_hi - p_lo) * gl_w
-            E = _scalar_exponent(a, t_out, omega, taus)
-            total += float(np.sum(wts * term.profile.value(t_out - taus)
-                                  * np.exp(-np.minimum(lam * taus + E, 700.0))))
-        if all(m == 0 for m in idx):
-            coeffs[(it,) + (0,) * (2 * d)] += (fac.amplitude
-                                               * math.cos(fac.mode_phase) * total)
-        else:
-            plus = tuple(m % out_spec.n_v for m in idx)
-            minus = tuple((-m) % out_spec.n_v for m in idx)
-            half = 0.5 * fac.amplitude * total
-            coeffs[(it,) + (0,) * d + plus] += half * np.exp(1j * fac.mode_phase)
-            coeffs[(it,) + (0,) * d + minus] += half * np.exp(-1j * fac.mode_phase)
+
+def _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs):
+    """Exact lattice handling of a position-constant cosine source: it is
+    lattice data at k = 0, where xi - tau k stays at omega, so the driver
+    runs on the one-point lattice (0, omega) and the result is scattered to
+    the modes (0, +-m)."""
+    d = out_spec.d
+    prof, fac = term.profile, term.factor
+    idx = _mode_indices(fac, out_spec)
+    ks = [np.zeros(1)] * d
+    xis = [np.array([w], dtype=float) for w in fac.mode_freq]
+    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
+                            prof.support(),
+                            lambda t_out, taus: (prof.value(t_out - taus), 1.0),
+                            prof.fine_step()):
+        half = 0.5 * fac.amplitude * acc.item().real
+        for sign in (1, -1):
+            at = (it,) + (0,) * d + tuple(sign * m % out_spec.n_v for m in idx)
+            coeffs[at] += half * np.exp(sign * 1j * fac.mode_phase)
 
 
 def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
@@ -544,42 +524,23 @@ def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
     ks, xis = _freq_axes(s)
     k, xi = ks[0], xis[0]
     v = s.v_nodes
-    ints = np.fft.fftfreq(s.n_x, 1.0 / s.n_x)
-    sign = np.where(np.round(ints).astype(int) % 2 == 0, 1.0, -1.0)
-    Fx = s.dx * sign[None, :, None] * np.fft.fft(g.values, axis=1)
+    Fx = s.dx * node_phase(s.n_x)[None, :, None] * np.fft.fft(g.values, axis=1)
     Mv = s.dv * np.exp(-1j * np.outer(v, xi))
 
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
-                                                       cfg.h_max)
-    gl_x, gl_w = _leggauss(cfg.quad_order)
-    coeffs = np.zeros((out_spec.n_t, s.n_x, s.n_v), dtype=complex)
+    def slices(t_out, taus):
+        tp = t_out - taus
+        pos = np.clip(np.searchsorted(s.t_nodes, tp) - 1, 0, s.n_t - 2)
+        left = s.t_nodes[pos]
+        w_hi = np.clip((tp - left) / (s.t_nodes[pos + 1] - left), 0.0, 1.0)
+        F = ((1.0 - w_hi)[:, None, None] * Fx[pos]
+             + w_hi[:, None, None] * Fx[pos + 1])
+        mod = np.exp(1j * taus[:, None, None] * k[None, :, None] * v[None, None, :])
+        return 1.0, (F * mod) @ Mv
 
-    for it, t_out in enumerate(out_spec.t_nodes):
-        tau_hi = t_out - s.t_lo
-        if tau_hi <= 0:
-            continue
-        tau_lo = max(0.0, t_out - s.t_hi)
-        pieces = _exponent_pieces(a, t_out, ks, xis, tau_hi)
-        edges = [t_out - tj for tj in s.t_nodes if tau_lo < t_out - tj < tau_hi]
-        edges += [p[0] for p in pieces[1:]]
-        acc = np.zeros((s.n_x, s.n_v), dtype=complex)
-        for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth, edges):
-            taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
-            wts = 0.5 * (p_hi - p_lo) * gl_w
-            tp = t_out - taus
-            pos = np.clip(np.searchsorted(s.t_nodes, tp) - 1, 0, s.n_t - 2)
-            left = s.t_nodes[pos]
-            w_hi = np.clip((tp - left) / (s.t_nodes[pos + 1] - left), 0.0, 1.0)
-            F = ((1.0 - w_hi)[:, None, None] * Fx[pos]
-                 + w_hi[:, None, None] * Fx[pos + 1])
-            taus_r = taus[:, None, None]
-            X = lam * taus_r + _lattice_exponent(pieces, taus_r)
-            K = np.where(X <= cfg.exponent_cut,
-                         np.exp(-np.minimum(X, cfg.exponent_cut)), 0.0)
-            mod = np.exp(1j * taus_r * k[None, :, None] * v[None, None, :])
-            acc += np.tensordot(wts, K * ((F * mod) @ Mv), axes=(0, 0))
+    coeffs = np.zeros(out_spec.shape, dtype=complex)
+    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
+                            (s.t_lo, s.t_hi), slices, knots=s.t_nodes):
         coeffs[it] = acc
-
     coeffs /= (2.0 * s.L_x) * (2.0 * s.L_v)
     return SpectralField(out_spec, coeffs).to_grid()
 
@@ -635,12 +596,7 @@ def _coefficient_on_grid(a: CoefficientField, spec: GridSpec):
     if a.kind in ("constant_spd", "time_piecewise"):
         z = np.zeros((spec.n_t, a.d))
         return "time", a.eval(spec.t_nodes, z, z)
-    mesh = np.meshgrid(spec.t_nodes, *([spec.x_nodes] * spec.d),
-                       *([spec.v_nodes] * spec.d), indexing="ij")
-    t = mesh[0]
-    x = np.stack(mesh[1:1 + spec.d], axis=-1)
-    v = np.stack(mesh[1 + spec.d:], axis=-1)
-    return "full", np.asarray(a.eval(t, x, v), dtype=float)
+    return "full", np.asarray(a.eval(*spec.mesh()), dtype=float)
 
 
 def _hessian_contraction(a: CoefficientField, u: GridField) -> np.ndarray:
@@ -679,11 +635,7 @@ def apply_operator(a: CoefficientField, lot: LowerOrderTerms | None,
         raise ValueError("coefficient/grid dimension mismatch")
     out = transport_derivative(u).values - _hessian_contraction(a, u)
     if lot is not None:
-        mesh = np.meshgrid(spec.t_nodes, *([spec.x_nodes] * spec.d),
-                           *([spec.v_nodes] * spec.d), indexing="ij")
-        t = mesh[0]
-        x = np.stack(mesh[1:1 + spec.d], axis=-1)
-        v = np.stack(mesh[1 + spec.d:], axis=-1)
+        t, x, v = spec.mesh()
         b = np.asarray(lot.b_fn(t, x, v), dtype=float)
         c = np.asarray(lot.c_fn(t, x, v), dtype=float)
         for i in range(spec.d):
@@ -720,8 +672,7 @@ def _conjugate_resample(field: GridField, z0: PhasePoint, r: float) -> GridField
         raise ValueError("scaling ratio must be positive")
     new = scaled_grid(spec, z0, r)
     c = SpectralField.from_grid(field).coeffs
-    ks, xis = _freq_axes(spec)
-    k, xi = ks[0], xis[0]
+    k, xi = wavenumbers(spec.n_x, spec.L_x), wavenumbers(spec.n_v, spec.L_v)
     Bv = np.exp(1j * np.outer(r * new.v_nodes + z0.v, xi))
     Bx0 = np.exp(1j * np.outer(r ** 3 * new.x_nodes, k))
     vals = np.empty(new.shape)

@@ -344,12 +344,9 @@ def cylinder_l2(g: GridField, Q: Cylinder) -> float:
     spec = g.spec
     if spec.n_t < 2:
         raise ValueError("cylinder norm needs a time window")
-    mesh = np.meshgrid(spec.t_nodes, *([spec.x_nodes] * spec.d),
-                       *([spec.v_nodes] * spec.d), indexing="ij")
-    t = mesh[0].ravel()
-    x = np.stack([m.ravel() for m in mesh[1:1 + spec.d]], axis=-1)
-    v = np.stack([m.ravel() for m in mesh[1 + spec.d:]], axis=-1)
-    mask = cylinder_contains_batch(Q, t, x, v)
+    t, x, v = spec.mesh()
+    mask = cylinder_contains_batch(Q, t.ravel(), x.reshape(-1, spec.d),
+                                   v.reshape(-1, spec.d))
     cell = spec.dt * spec.dx ** spec.d * spec.dv ** spec.d
     return math.sqrt(float(np.sum(g.values.ravel()[mask] ** 2)) * cell)
 

@@ -2,6 +2,7 @@
 and the dyadic tail bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kfplab.fractional import (
     mollify,
     spectral_l2,
 )
-from kfplab.grids import GridField, GridSpec
+from kfplab.grids import GridField, GridSpec, node_phase, wavenumbers
 
 SPEC = GridSpec(d=1, n_t=5, n_x=16, n_v=12, t_lo=0.0, t_hi=1.0, L_x=np.pi, L_v=np.pi)
 
@@ -30,9 +31,11 @@ def random_field(spec, seed):
 
 class TestSpectralField:
     def test_round_trip(self):
-        f = random_field(SPEC, 0)
-        g = SpectralField.from_grid(f).to_grid()
-        assert np.max(np.abs(g.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+        odd = GridSpec(d=2, n_t=2, n_x=5, n_v=7, t_lo=0.0, t_hi=1.0, L_x=2.0, L_v=3.0)
+        for spec in (SPEC, odd):
+            f = random_field(spec, 0)
+            g = SpectralField.from_grid(f).to_grid()
+            assert np.max(np.abs(g.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
     def test_hermitian_symmetry(self):
         # real field: c at (-k, -xi) is the conjugate of c at (k, xi)
@@ -55,6 +58,36 @@ class TestSpectralField:
         assert c[0, 1, 0] == pytest.approx(0.5, abs=1e-13)
         assert c[0, -1, 0] == pytest.approx(0.5, abs=1e-13)
         assert abs(c[0, 0, 0]) < 1e-14
+
+
+class TestFrequencyLattice:
+    def test_wavenumbers_match_the_fftfreq_lattice(self):
+        for n in (7, 17, 24, 25, 64, 65):
+            for L in (5.0, 3.0 * np.pi, 8.0 * np.pi):
+                ref = 2.0 * np.pi * np.fft.fftfreq(n, 2.0 * L / n)
+                assert np.all(np.abs(wavenumbers(n, L) - ref) <= np.spacing(np.abs(ref)))
+
+    def test_wavenumbers_within_one_ulp_of_exact(self):
+        # pi m / L in exact arithmetic on the double inputs, rounded once
+        for n in (8, 9, 47, 49, 77):
+            for L in (0.7, 3.0, 5.0, np.pi, 15.0):
+                ms = np.rint(np.fft.fftfreq(n) * n).astype(int)
+                exact = np.array([float(Fraction(np.pi) * int(m) / Fraction(L)) for m in ms])
+                assert np.all(np.abs(wavenumbers(n, L) - exact) <= np.spacing(np.abs(exact)))
+
+    def test_node_phase_is_the_left_endpoint_phase(self):
+        for n in (7, 8):
+            L = 2.5
+            want = np.exp(-1j * wavenumbers(n, L) * L)
+            assert np.max(np.abs(node_phase(n) - want)) < 1e-14
+
+    def test_mesh_stacks_position_and_velocity(self):
+        spec = GridSpec(d=2, n_t=3, n_x=4, n_v=5, t_lo=0.0, t_hi=1.0, L_x=2.0, L_v=3.0)
+        t, x, v = spec.mesh()
+        assert t.shape == spec.shape and x.shape == v.shape == spec.shape + (2,)
+        assert np.array_equal(t[:, 0, 0, 0, 0], spec.t_nodes)
+        assert np.array_equal(x[0, 0, :, 0, 0, 1], spec.x_nodes)
+        assert np.array_equal(v[0, 0, 0, :, 0, 0], spec.v_nodes)
 
 
 class TestFracLaplacian:

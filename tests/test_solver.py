@@ -197,7 +197,11 @@ class TestSolveInvariants:
     def test_linearity(self):
         spec = self._grid()
         a = _const_a(0.8)
-        f1 = AnalyticSource((_pulse_term(0.4, 0.3, mx=0.5, mv=0.6, px=0.2),))
+        f1 = AnalyticSource((
+            _pulse_term(0.4, 0.3, mx=0.5, mv=0.6, px=0.2),
+            SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
+                       SpaceFactor(kind="v_mode", amplitude=0.8,
+                                   mode_freq=(math.pi / 2.0,), mode_phase=0.3))))
         f2 = AnalyticSource((_pulse_term(0.7, 0.25, poly=(0.5, 1.0), sx=1.2,
                                          sv=0.8, mv=0.3),))
         combo = f1.scaled(1.7) + f2.scaled(-0.6)
@@ -242,7 +246,11 @@ class TestSolveInvariants:
     def test_exponent_cut_is_sound(self):
         spec = GridSpec(d=1, n_t=5, n_x=16, n_v=24, t_lo=0.0, t_hi=1.0,
                         L_x=8.0, L_v=6.0)
-        f = AnalyticSource((_pulse_term(0.4, 0.4, mx=0.4, mv=0.5),))
+        # the always-on velocity mode runs its exponent omega^2 tau past 20
+        f = AnalyticSource((
+            _pulse_term(0.4, 0.4, mx=0.4, mv=0.5),
+            SourceTerm(TimeProfile(kind="boxcar", start=-26.0, stop=4.0),
+                       SpaceFactor(kind="v_mode", mode_freq=(math.pi / 3.0,)))))
         a = _const_a()
         u40 = solve_duhamel(a, 0.0, f, spec, SolveConfig(exponent_cut=40.0))
         u20 = solve_duhamel(a, 0.0, f, spec, SolveConfig(exponent_cut=20.0))
@@ -342,6 +350,39 @@ class TestSolveInvariants:
             want *= complex(_gausscos_hat(np.array(k), 0.0, 2.0, 0.5, 0.0))
             got = c[1, 4, n_xi] * box
             assert abs(got - want) < 1e-6 * abs(want)
+
+    def test_velocity_mode_under_piecewise_coefficient(self):
+        # at k = 0 the exponent only accumulates the rate lam + omega^2 a,
+        # which is constant between breakpoints: the history integral of a
+        # boxcar velocity mode is a sum of exponential pieces
+        a = _piecewise_a((0.5,), (1.0, 0.4))
+        lam, omega, amp, phase = 0.7, 2.0, 1.3, 0.4
+        start, stop = -3.0, 0.8
+        spec = GridSpec(d=1, n_t=9, n_x=4, n_v=16, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=math.pi)
+        term = SourceTerm(TimeProfile(kind="boxcar", start=start, stop=stop),
+                          SpaceFactor(kind="v_mode", amplitude=amp,
+                                      mode_freq=(omega,), mode_phase=phase))
+        u = solve_duhamel(a, lam, AnalyticSource((term,)), spec)
+
+        def history(t_out):
+            cuts = {0.0, max(0.0, t_out - stop), t_out - start}
+            if 0.0 < t_out - 0.5:
+                cuts.add(t_out - 0.5)
+            cuts = sorted(cuts)
+            total, exponent = 0.0, 0.0
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                a_mid = 1.0 if t_out - 0.5 * (lo + hi) < 0.5 else 0.4
+                rate = lam + omega ** 2 * a_mid
+                if lo >= t_out - stop:
+                    total += math.exp(-exponent) * -math.expm1(-rate * (hi - lo)) / rate
+                exponent += rate * (hi - lo)
+            return total
+
+        want = (amp * np.array([history(t) for t in spec.t_nodes])[:, None, None]
+                * np.cos(omega * spec.v_nodes + phase)[None, None, :])
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(u.values - want)) < 1e-12 * scale
 
     def test_two_dimensional_kernel_against_scalar_quadrature(self):
         a = CoefficientField(kind="constant_spd", d=2, delta=0.3,

@@ -19,9 +19,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import yaml
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .coefficients import CoefficientField
 from .geometry import PhasePoint, QuasiMetricParams, quasi_distance_batch
@@ -319,11 +320,12 @@ def _load_config(command: str, path: str) -> dict:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    try:
-        jsonschema.validate(cfg, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"schema violation at {where}: {exc.message}") from exc
+    # jsonschema.validate's error choice, minus its per-call metaschema check
+    schema = SCHEMAS[command]
+    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"schema violation at {where}: {error.message}")
     return cfg
 
 
@@ -334,7 +336,9 @@ def _build_grid(cfg: dict) -> GridSpec:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _build_coefficients(cfg: dict) -> CoefficientField:
+def _build_coefficients(cfg: dict, d: int) -> CoefficientField:
+    """Coefficients at the grid dimension d.  A scalar value, a 1x1 matrix
+    and each piecewise value multiply the d-dimensional identity."""
     kind = cfg["kind"]
     try:
         if kind == "constant_spd":
@@ -342,37 +346,25 @@ def _build_coefficients(cfg: dict) -> CoefficientField:
                 matrix = np.asarray(cfg["matrix"], dtype=float)
                 if matrix.ndim != 2:
                     raise ConfigError("matrix must be a list of rows")
-                return CoefficientField(kind="constant_spd", d=matrix.shape[0],
-                                        delta=cfg["delta"], matrix=matrix)
-            if "value" not in cfg:
+                if matrix.shape == (1, 1):
+                    matrix = matrix[0, 0] * np.eye(d)
+                elif matrix.shape[0] != d:
+                    raise ConfigError(f"coefficient dimension {matrix.shape[0]} "
+                                      f"does not match grid {d}")
+            elif "value" in cfg:
+                matrix = cfg["value"] * np.eye(d)
+            else:
                 raise ConfigError("constant_spd needs 'value' or 'matrix'")
-            return CoefficientField(kind="constant_spd", d=1,
-                                    delta=cfg["delta"],
-                                    matrix=cfg["value"] * np.eye(1))
+            return CoefficientField(kind="constant_spd", d=d,
+                                    delta=cfg["delta"], matrix=matrix)
         if "values" not in cfg or "breakpoints" not in cfg:
             raise ConfigError("time_piecewise needs 'breakpoints' and 'values'")
-        mats = tuple(val * np.eye(1) for val in cfg["values"])
-        return CoefficientField(kind="time_piecewise", d=1, delta=cfg["delta"],
+        mats = tuple(val * np.eye(d) for val in cfg["values"])
+        return CoefficientField(kind="time_piecewise", d=d, delta=cfg["delta"],
                                 breakpoints=tuple(cfg["breakpoints"]),
                                 matrices=mats)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
-
-
-def _scale_coefficients(a: CoefficientField, d: int) -> CoefficientField:
-    """Scalar configs build d=1 fields; promote to the grid dimension by
-    multiplying the scalar onto the d-dimensional identity."""
-    if a.d == d:
-        return a
-    if a.kind == "constant_spd" and a.matrix.shape == (1, 1):
-        return CoefficientField(kind="constant_spd", d=d, delta=a.delta,
-                                matrix=float(a.matrix[0, 0]) * np.eye(d))
-    if a.kind == "time_piecewise" and all(m.shape == (1, 1) for m in a.matrices):
-        return CoefficientField(
-            kind="time_piecewise", d=d, delta=a.delta,
-            breakpoints=a.breakpoints,
-            matrices=tuple(float(m[0, 0]) * np.eye(d) for m in a.matrices))
-    raise ConfigError(f"coefficient dimension {a.d} does not match grid {d}")
 
 
 def _build_source(cfg: dict) -> AnalyticSource:
@@ -450,7 +442,7 @@ def _write_rows(path: Path, header: tuple, rows: list) -> None:
 
 def _cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
     spec = _build_grid(cfg["grid"])
-    a = _scale_coefficients(_build_coefficients(cfg["coefficients"]), spec.d)
+    a = _build_coefficients(cfg["coefficients"], spec.d)
     src = _build_source(cfg["source"])
     try:
         u = solve_duhamel(a, cfg["lam"], src, spec, _build_solver_config(cfg))
@@ -466,7 +458,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
 def _cmd_verify_estimate(cfg: dict, out_dir: Path, seed: int,
                          workers: int) -> None:
     spec = _build_grid(cfg["grid"])
-    a = _scale_coefficients(_build_coefficients(cfg["coefficients"]), spec.d)
+    a = _build_coefficients(cfg["coefficients"], spec.d)
     nspec = _build_norm(cfg["norm"], spec.d)
     ccfg = dict(cfg["corpus"])
     n_cases = ccfg.pop("n_cases")
@@ -587,11 +579,10 @@ def _cmd_maximal_bench(cfg: dict, out_dir: Path, seed: int,
 def _cmd_vmo(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
     from .coefficients import osc_prime, osc_xv
     from .geometry import Cylinder
-    a = _build_coefficients(cfg["coefficients"])
+    a = _build_coefficients(cfg["coefficients"], len(cfg["center"]["x"]))
     center = PhasePoint(t=cfg["center"]["t"],
                         x=np.asarray(cfg["center"]["x"], dtype=float),
                         v=np.asarray(cfg["center"]["v"], dtype=float))
-    a = _scale_coefficients(a, center.d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_pairs = cfg.get("n_pairs", 4000)
     n_slices = cfg.get("n_slices", 16)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .grids import GridField, GridSpec, node_phase, wavenumbers
+from .grids import GridField, GridSpec, node_phase, on_axis, wavenumbers
 
 __all__ = [
     "SpectralField",
@@ -116,9 +116,7 @@ def dv_frac_sixth(u: GridField) -> tuple:
         xis[spec.n_v // 2] = 0.0  # unpaired Nyquist mode dropped for odd-order derivative
     out = []
     for j in range(spec.d):
-        shape = [1] * u.values.ndim
-        shape[1 + spec.d + j] = spec.n_v
-        G = F * (1j * xis.reshape(shape))
+        G = F * (1j * on_axis(xis, 1 + spec.d + j, u.values.ndim))
         out.append(u.like(np.fft.ifftn(G, axes=spec.x_axes + spec.v_axes).real))
     return tuple(out)
 

@@ -161,17 +161,7 @@ def symmetrized_distance_batch(t, x, v, t0, x0, v0, params: QuasiMetricParams = 
 def cylinder_contains(Q: Cylinder, z: PhasePoint) -> bool:
     """Strict membership of z in Q.  The center itself is excluded for
     side='past' (t - t0 = 0 fails the strict time condition)."""
-    dt = z.t - Q.center.t
-    if Q.side == "past":
-        if not (-Q.r ** 2 < dt < 0.0):
-            return False
-    else:
-        if not (abs(dt) < Q.r ** 2):
-            return False
-    if not float(np.linalg.norm(z.v - Q.center.v)) < Q.r:
-        return False
-    slant = z.x - Q.center.x + dt * Q.center.v
-    return float(np.linalg.norm(slant)) < Q.R ** 3
+    return bool(cylinder_contains_batch(Q, z.t, z.x, z.v))
 
 
 def cylinder_contains_batch(Q: Cylinder, t, x, v) -> np.ndarray:
@@ -221,11 +211,7 @@ class DSlice:
         return self.center.x - (self.t - self.center.t) * self.center.v
 
     def contains(self, x, v) -> bool:
-        x = _as_vec(x)
-        v = _as_vec(v)
-        if not float(np.linalg.norm(v - self.center.v)) < self.r:
-            return False
-        return float(np.linalg.norm(x - self.x_center)) < self.r ** 3
+        return bool(self.contains_batch(_as_vec(x), _as_vec(v)))
 
     def contains_batch(self, x, v) -> np.ndarray:
         x = np.asarray(x, float)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["GridSpec", "GridField", "MAGIC", "fft_integers", "wavenumbers",
-           "node_phase"]
+           "node_phase", "on_axis"]
 
 MAGIC = b"KFP-GRIDFIELD-01"
 
@@ -37,6 +37,13 @@ def wavenumbers(n: int, half_length: float) -> np.ndarray:
 def node_phase(n: int) -> np.ndarray:
     """e^{-i k L} per mode: nodes start at -L, so mode m carries (-1)^m."""
     return np.where(fft_integers(n) % 2 == 0, 1.0, -1.0)
+
+
+def on_axis(vec, axis: int, ndim: int) -> np.ndarray:
+    """vec laid along one axis of an ndim-dimensional array, for broadcasting."""
+    shape = [1] * ndim
+    shape[axis] = len(vec)
+    return np.asarray(vec).reshape(shape)
 
 
 @dataclass(frozen=True)

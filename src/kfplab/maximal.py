@@ -34,6 +34,8 @@ __all__ = [
     "make_corpus",
 ]
 
+_STRIDE_FRACTION = 0.25  # center spacing per axis, as a share of the extent
+
 
 def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
     return delta - period * np.round(delta / period)
@@ -46,7 +48,6 @@ class CylinderFamily:
     radii: tuple
     c: float = 1.0
     T: float = math.inf
-    stride_fraction: float = 0.25
 
     def __post_init__(self):
         if not self.radii or any(not r > 0 for r in self.radii):
@@ -78,10 +79,9 @@ class CylinderFamily:
     def _scale_lattice(self, spec: GridSpec, r: float):
         """Center candidates at one radius: time values (including slots past
         t_hi, clipped at T) and per-axis node index strides for x and v."""
-        frac = self.stride_fraction
-        st_t = max(1, int(frac * r * r / spec.dt))
-        st_x = max(1, int(frac * (self.c * r) ** 3 / spec.dx))
-        st_v = max(1, int(frac * r / spec.dv))
+        st_t = max(1, int(_STRIDE_FRACTION * r * r / spec.dt))
+        st_x = max(1, int(_STRIDE_FRACTION * (self.c * r) ** 3 / spec.dx))
+        st_v = max(1, int(_STRIDE_FRACTION * r / spec.dv))
         t1s = list(spec.t_nodes[::st_t])
         k = 1
         while k * st_t * spec.dt <= r * r:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, GridSpec, wavenumbers
+from .grids import GridField, GridSpec, on_axis, wavenumbers
 from .weights import ProductWeight, Weight1D, unit_product_weight
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "transport_derivative",
     "s_norm",
     "s_norm_terms",
+    "second_derivatives",
     "spectral_derivative",
     "v_gradient_magnitude",
     "v_hessian_magnitude",
@@ -189,9 +190,7 @@ def spectral_derivative(values: np.ndarray, axis: int, half_length: float,
         mult = -(k ** 2)
     else:
         raise ValueError("only first and second derivatives are supported")
-    shape = [1] * values.ndim
-    shape[axis] = n
-    F = np.fft.fft(values, axis=axis) * mult.reshape(shape)
+    F = np.fft.fft(values, axis=axis) * on_axis(mult, axis, values.ndim)
     return np.fft.ifft(F, axis=axis).real
 
 
@@ -205,9 +204,7 @@ def transport_derivative(u: GridField) -> GridField:
     out = np.tensordot(D, u.values, axes=(1, 0))
     for i in range(spec.d):
         dx_u = spectral_derivative(u.values, axis=1 + i, half_length=spec.L_x)
-        vshape = [1] * u.values.ndim
-        vshape[1 + spec.d + i] = spec.n_v
-        out -= spec.v_nodes.reshape(vshape) * dx_u
+        out -= on_axis(spec.v_nodes, 1 + spec.d + i, u.values.ndim) * dx_u
     return u.like(out)
 
 
@@ -219,19 +216,25 @@ def _gradient_magnitude(u: GridField, axes: tuple, half_length: float) -> GridFi
     return u.like(np.sqrt(sq))
 
 
+def second_derivatives(values: np.ndarray, axes: tuple, half_length: float):
+    """Yield (i, j, D_i D_j values) for every pair i <= j of the given
+    periodic axes.  The diagonal uses the one-shot second-derivative
+    multiplier, so lattice modes match the continuum; off the diagonal the
+    first derivatives are nested."""
+    for i, ax_a in enumerate(axes):
+        yield i, i, spectral_derivative(values, axis=ax_a,
+                                        half_length=half_length, order=2)
+        for j in range(i + 1, len(axes)):
+            yield i, j, spectral_derivative(
+                spectral_derivative(values, axis=ax_a, half_length=half_length),
+                axis=axes[j], half_length=half_length)
+
+
 def _hessian_magnitude(u: GridField, axes: tuple, half_length: float) -> GridField:
     """Pointwise Frobenius magnitude of the second-derivative matrix."""
     sq = np.zeros_like(u.values)
-    for ia, ax_a in enumerate(axes):
-        for ax_b in axes[ia:]:
-            if ax_a == ax_b:
-                h = spectral_derivative(u.values, axis=ax_a, half_length=half_length, order=2)
-                sq += h * h
-            else:
-                h = spectral_derivative(
-                    spectral_derivative(u.values, axis=ax_a, half_length=half_length),
-                    axis=ax_b, half_length=half_length)
-                sq += 2.0 * h * h
+    for i, j, h in second_derivatives(u.values, axes, half_length):
+        sq += (1.0 if i == j else 2.0) * h * h
     return u.like(np.sqrt(sq))
 
 

@@ -42,16 +42,10 @@ import numpy as np
 from .coefficients import CoefficientField, LowerOrderTerms
 from .fractional import SpectralField
 from .geometry import PhasePoint
-from .grids import GridField, GridSpec, node_phase, wavenumbers
-from .norms import spectral_derivative, transport_derivative
+from .grids import GridField, GridSpec, node_phase, on_axis, wavenumbers
+from .norms import second_derivatives, spectral_derivative, transport_derivative
 
 _PULSE_CUT = 12.0  # pulse support is truncated at this many widths
-
-
-def _on_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = len(vec)
-    return np.asarray(vec).reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -200,23 +194,23 @@ class AnalyticSource:
         nd = 1 + 2 * spec.d
         out = np.zeros(spec.shape)
         for term in self.terms:
-            pv = _on_axis(term.profile.value(spec.t_nodes), 0, nd)
+            pv = on_axis(term.profile.value(spec.t_nodes), 0, nd)
             fac = term.factor
             if fac.kind == "gaussian":
                 spatial = np.ones((1,) * nd)
                 for i in range(spec.d):
                     g = _gausscos_values(spec.x_nodes, fac.x_center[i],
                                          fac.x_sigma, fac.x_freq[i], fac.x_phase[i])
-                    spatial = spatial * _on_axis(g, 1 + i, nd)
+                    spatial = spatial * on_axis(g, 1 + i, nd)
                 for i in range(spec.d):
                     g = _gausscos_values(spec.v_nodes, fac.v_center[i],
                                          fac.v_sigma, fac.v_freq[i], fac.v_phase[i])
-                    spatial = spatial * _on_axis(g, 1 + spec.d + i, nd)
+                    spatial = spatial * on_axis(g, 1 + spec.d + i, nd)
             else:
                 phase = np.zeros((1,) * nd)
                 for i in range(spec.d):
-                    phase = phase + _on_axis(fac.mode_freq[i] * spec.v_nodes,
-                                             1 + spec.d + i, nd)
+                    phase = phase + on_axis(fac.mode_freq[i] * spec.v_nodes,
+                                            1 + spec.d + i, nd)
                 spatial = np.cos(phase + fac.mode_phase)
             out = out + fac.amplitude * pv * spatial
         return GridField(spec, np.broadcast_to(out, spec.shape).copy())
@@ -313,8 +307,8 @@ def _quadratics(A, ks, xis):
     """k.Ak, k.Axi, xi.Axi on the mode lattice, broadcastable arrays."""
     d = len(ks)
     nd = 2 * d
-    K = [_on_axis(ks[i], i, nd) for i in range(d)]
-    X = [_on_axis(xis[i], d + i, nd) for i in range(d)]
+    K = [on_axis(ks[i], i, nd) for i in range(d)]
+    X = [on_axis(xis[i], d + i, nd) for i in range(d)]
     qkk = sum(A[i, j] * K[i] * K[j] for i in range(d) for j in range(d))
     qkv = sum(A[i, j] * K[i] * X[j] for i in range(d) for j in range(d))
     qvv = sum(A[i, j] * X[i] * X[j] for i in range(d) for j in range(d))
@@ -404,7 +398,7 @@ def _x_hat(fac: SpaceFactor, ks):
     for i in range(d):
         g = _gausscos_hat(ks[i], fac.x_center[i], fac.x_sigma,
                           fac.x_freq[i], fac.x_phase[i])
-        out = out * _on_axis(g, i, 2 * d)
+        out = out * on_axis(g, i, 2 * d)
     return out
 
 
@@ -415,8 +409,8 @@ def _v_hat_shifted(fac: SpaceFactor, ks, xis, taus):
     taus_r = taus.reshape((g,) + (1,) * (2 * d))
     out = np.ones((g,) + (1,) * (2 * d), dtype=complex)
     for i in range(d):
-        k = _on_axis(ks[i], i, 2 * d)[None]
-        xi = _on_axis(xis[i], d + i, 2 * d)[None]
+        k = on_axis(ks[i], i, 2 * d)[None]
+        xi = on_axis(xis[i], d + i, 2 * d)[None]
         arg = xi - taus_r * k
         out = out * _gausscos_hat(arg, fac.v_center[i], fac.v_sigma,
                                   fac.v_freq[i], fac.v_phase[i])
@@ -549,19 +543,6 @@ def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
 # zero-data problems
 
 
-def _require_model_lot(lot: LowerOrderTerms, d: int, n: int = 64) -> None:
-    rng = np.random.default_rng(0)
-    t = rng.uniform(-3.0, 3.0, n)
-    x = rng.uniform(-3.0, 3.0, (n, d))
-    v = rng.uniform(-3.0, 3.0, (n, d))
-    b = np.asarray(lot.b_fn(t, x, v), dtype=float)
-    c = np.asarray(lot.c_fn(t, x, v), dtype=float)
-    if np.max(np.abs(b)) > 1e-14 or np.max(np.abs(c)) > 1e-14:
-        raise NotImplementedError(
-            "history-integral solving covers the model equation only "
-            "(b = 0, c = 0); apply_operator handles general lower-order terms")
-
-
 def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
                  start: float, stop: float, out_spec: GridSpec,
                  config: SolveConfig | None = None) -> GridField:
@@ -570,10 +551,10 @@ def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
     integral exactly, so u(start) = 0 holds with no extra error."""
     if not stop > start:
         raise ValueError("time window must be increasing")
-    lam = 0.0
-    if lot is not None:
-        _require_model_lot(lot, a.d)
-        lam = lot.lam
+    if lot is not None and lot.validate(a.d)["worst"] > 1e-14:
+        raise NotImplementedError(
+            "history-integral solving covers the model equation only "
+            "(b = 0, c = 0); apply_operator handles general lower-order terms")
     if abs(out_spec.t_lo - start) > 1e-12 or out_spec.t_hi > stop + 1e-12:
         raise ValueError("output grid must start at the initial time and stay "
                          "inside the window")
@@ -585,6 +566,7 @@ def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
     elif isinstance(f, GridField):
         if f.spec.t_lo < start - 1e-12:
             raise ValueError("sampled source history leaks below the initial time")
+    lam = 0.0 if lot is None else lot.lam
     return solve_duhamel(a, lam, f, out_spec, config)
 
 
@@ -592,36 +574,22 @@ def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
 # the operator, pointwise on grids
 
 
-def _coefficient_on_grid(a: CoefficientField, spec: GridSpec):
+def _coefficient_on_grid(a: CoefficientField, spec: GridSpec) -> np.ndarray:
+    """a at the grid nodes, broadcastable against spec.shape + (d, d)."""
     if a.kind in ("constant_spd", "time_piecewise"):
         z = np.zeros((spec.n_t, a.d))
-        return "time", a.eval(spec.t_nodes, z, z)
-    return "full", np.asarray(a.eval(*spec.mesh()), dtype=float)
+        lead = (spec.n_t,) + (1,) * (2 * spec.d)
+        return np.asarray(a.eval(spec.t_nodes, z, z)).reshape(lead + (a.d, a.d))
+    return np.asarray(a.eval(*spec.mesh()), dtype=float)
 
 
 def _hessian_contraction(a: CoefficientField, u: GridField) -> np.ndarray:
-    """a^{ij}(z) D_{v_i v_j} u pointwise; diagonal entries use the one-shot
-    second-derivative multiplier so lattice modes match the continuum."""
-    spec = u.spec
-    tag, A = _coefficient_on_grid(a, spec)
-    nd = 1 + 2 * spec.d
-
-    def coeff(i, j):
-        if tag == "time":
-            return _on_axis(A[:, i, j], 0, nd)
-        return A[..., i, j]
-
-    out = np.zeros(spec.shape)
-    for i in range(spec.d):
-        dii = spectral_derivative(u.values, axis=1 + spec.d + i,
-                                  half_length=spec.L_v, order=2)
-        out += coeff(i, i) * dii
-        for j in range(i + 1, spec.d):
-            dij = spectral_derivative(
-                spectral_derivative(u.values, axis=1 + spec.d + i,
-                                    half_length=spec.L_v),
-                axis=1 + spec.d + j, half_length=spec.L_v)
-            out += 2.0 * coeff(i, j) * dij
+    """a^{ij}(z) D_{v_i v_j} u pointwise, each off-diagonal pair counted
+    twice by symmetry."""
+    A = _coefficient_on_grid(a, u.spec)
+    out = np.zeros(u.spec.shape)
+    for i, j, h in second_derivatives(u.values, u.spec.v_axes, u.spec.L_v):
+        out += (1.0 if i == j else 2.0) * A[..., i, j] * h
     return out
 
 
@@ -714,7 +682,7 @@ def scaling_conjugation_check(u: GridField, a: CoefficientField,
     nd = 1 + 2 * d
     v_dx_u = np.zeros_like(u.values)
     for i in range(d):
-        v_dx_u += _on_axis(spec.v_nodes, 1 + d + i, nd) * spectral_derivative(
+        v_dx_u += on_axis(spec.v_nodes, 1 + d + i, nd) * spectral_derivative(
             u.values, axis=1 + i, half_length=spec.L_x)
     dt_u = transport_derivative(u).values + v_dx_u
     rs_dt = _conjugate_resample(GridField(spec, dt_u), z0, r).values
@@ -724,7 +692,7 @@ def scaling_conjugation_check(u: GridField, a: CoefficientField,
             GridField(spec, spectral_derivative(u.values, axis=1 + i,
                                                 half_length=spec.L_x)),
             z0, r).values
-        v_i = _on_axis(r * u_s.spec.v_nodes + z0.v[i], 1 + d + i, nd)
+        v_i = on_axis(r * u_s.spec.v_nodes + z0.v[i], 1 + d + i, nd)
         rs_vdx += v_i * rs_dxi
     rs_hess = _conjugate_resample(GridField(spec, hess), z0, r).values
 

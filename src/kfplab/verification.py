@@ -285,17 +285,11 @@ def delta_sweep(factories, deltas, lam: float, out_spec: GridSpec,
         a = CoefficientField(kind="constant_spd", d=out_spec.d,
                              delta=min(dd, 1.0 - 1e-12),
                              matrix=dd * np.eye(out_spec.d))
-        best = 0.0
-        for case_id, make in factories:
-            src = make(dd)
-            u = solve_duhamel(a, lam, src, out_spec, config)
-            fg = src.sample(out_spec)
-            if mixed_norm(fg, nspec) == 0:
-                continue
-            row = estimate_ratio(u, fg, lam, nspec, case_id=case_id, delta=dd)
-            rows.append(row)
-            best = max(best, row["ratio"])
-        worst.append(best)
+        part = solve_corpus([(case_id, make(dd)) for case_id, make in factories],
+                            a, lam, out_spec, nspec, config=config,
+                            delta_label=dd)
+        rows.extend(part.rows)
+        worst.append(max((row["ratio"] for row in part.rows), default=0.0))
     if len(deltas) >= 2:
         logd = np.log(deltas)
         logw = np.log(worst)

@@ -30,6 +30,8 @@ __all__ = [
     "product_weight_eval",
 ]
 
+_N_BATCHES = 20  # batches behind kinetic_ap_functional's standard error
+
 
 @dataclass(frozen=True)
 class Weight1D:
@@ -270,14 +272,14 @@ def kinetic_ap_functional(
     T: float = math.inf,
     n_samples: int = 100_000,
     rng: np.random.Generator | None = None,
-    n_batches: int = 20,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of
 
         (avg_B |x|^alpha) * (avg_B |x|^{-alpha/(p-1)})^{p-1}
 
     over B = {rho_hat_c(., z0) < r} intersected with {t <= T}, together with
-    a batch standard error.  Requires alpha in (-1, p-1) and t0 <= T.
+    a standard error over _N_BATCHES batches.  Requires alpha in (-1, p-1)
+    and t0 <= T.
     """
     if not p > 1:
         raise ValueError("requires p > 1")
@@ -297,8 +299,8 @@ def kinetic_ap_functional(
 
     vals1 = []
     vals2 = []
-    per_batch = max(1, n_samples // n_batches)
-    for _ in range(n_batches):
+    per_batch = max(1, n_samples // _N_BATCHES)
+    for _ in range(_N_BATCHES):
         acc1 = acc2 = 0.0
         count = 0
         while count < per_batch:
@@ -330,7 +332,7 @@ def kinetic_ap_functional(
     vals2 = np.asarray(vals2)
     per = vals1 * vals2 ** (p - 1.0)
     value = float(np.mean(vals1) * np.mean(vals2) ** (p - 1.0))
-    stderr = float(np.std(per, ddof=1) / math.sqrt(n_batches))
+    stderr = float(np.std(per, ddof=1) / math.sqrt(_N_BATCHES))
     if not value >= 1.0 - 3.0 * stderr - 1e-12:
         raise AssertionError(f"kinetic A_p estimate {value} below 1 beyond noise")
     return value, stderr

@@ -10,9 +10,13 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from jsonschema.validators import validator_for
 
-from kfplab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from kfplab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, SCHEMAS, main
+from kfplab.coefficients import CoefficientField
 from kfplab.grids import GridField
+from kfplab.solver import (AnalyticSource, SourceTerm, SpaceFactor,
+                           TimeProfile, solve_duhamel)
 
 
 def _write(tmp_path, name, payload):
@@ -31,6 +35,20 @@ def _steady_solve_config():
             "profile": {"kind": "boxcar", "start": -26.0, "stop": 50.0},
             "factor": {"kind": "v_mode", "mode_freq": [1.0],
                        "mode_phase": 0.0},
+        }]},
+    }
+
+
+def _d2_solve_config(coefficients):
+    return {
+        "grid": {"d": 2, "n_t": 3, "n_x": 4, "n_v": 8, "t_lo": 0.0,
+                 "t_hi": 1.0, "L_x": 2.0, "L_v": 2.0 * math.pi},
+        "coefficients": coefficients,
+        "lam": 1.0,
+        "source": {"terms": [{
+            "profile": {"kind": "boxcar", "start": -3.0, "stop": 0.6},
+            "factor": {"kind": "v_mode", "mode_freq": [1.0, 0.5],
+                       "mode_phase": 0.2},
         }]},
     }
 
@@ -88,6 +106,32 @@ class TestSolveCommand:
         payload["source"]["terms"][0]["factor"]["mode_freq"] = [1.03]
         cfg = _write(tmp_path, "solve.yaml", payload)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("coefficients", [
+        {"kind": "constant_spd", "value": 2.0, "delta": 0.4},
+        {"kind": "constant_spd", "matrix": [[2.0]], "delta": 0.4},
+    ])
+    def test_scalar_coefficients_build_at_the_grid_dimension(self, tmp_path,
+                                                              coefficients):
+        payload = _d2_solve_config(coefficients)
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        got = GridField.load(tmp_path / "solution.bin")
+        a = CoefficientField(kind="constant_spd", d=2, delta=0.4,
+                             matrix=2.0 * np.eye(2))
+        src = AnalyticSource((SourceTerm(
+            TimeProfile(kind="boxcar", start=-3.0, stop=0.6),
+            SpaceFactor(kind="v_mode", mode_freq=(1.0, 0.5), mode_phase=0.2)),))
+        want = solve_duhamel(a, 1.0, src, got.spec)
+        assert np.array_equal(got.values, want.values)
+
+    def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
+        payload = _steady_solve_config()
+        payload["coefficients"] = {"kind": "constant_spd", "delta": 0.4,
+                                   "matrix": [[2.0, 0.0], [0.0, 2.0]]}
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "does not match grid" in capsys.readouterr().err
 
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("kfplab")
@@ -238,6 +282,12 @@ class TestReportCommand:
         empty.mkdir()
         assert main(["report", "--config", rcfg, "--out",
                      str(empty)]) == EXIT_CONFIG
+
+
+def test_every_command_schema_passes_the_metaschema():
+    # configs are validated without re-checking the schema on each load
+    for schema in SCHEMAS.values():
+        validator_for(schema).check_schema(schema)
 
 
 class TestFlagValidation:

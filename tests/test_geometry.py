@@ -226,6 +226,23 @@ class TestCylinders:
         assert cylinder_contains(Q, zp(-0.5, 1.0, 2.0))
         assert not cylinder_contains(Q, zp(-0.5, 0.0, 2.0))
 
+    def test_hand_membership_d2(self):
+        # Q_{1,1}(z0), z0 = (0, (0, 0), (1, 0)); at t = -0.5 the x-ball is
+        # centered at x0 - (t - t0) v0 = (0.5, 0)
+        z0 = PhasePoint(0.0, [0.0, 0.0], [1.0, 0.0])
+        past = Cylinder(z0, 1.0, 1.0, side="past")
+        inside = PhasePoint(-0.5, [0.5, 0.6], [1.3, 0.4])
+        assert cylinder_contains(past, inside)
+        # |v - v0| = 1 and |x + dt v0| = 1 sit on the strict boundaries
+        assert not cylinder_contains(past, PhasePoint(-0.5, [0.5, 0.6], [1.0, 1.0]))
+        assert not cylinder_contains(past, PhasePoint(-0.5, [0.5, 1.0], [1.3, 0.4]))
+        # |x| = 0.6 but the slanted offset is 1.1
+        assert not cylinder_contains(past, PhasePoint(-0.5, [-0.6, 0.0], [1.3, 0.4]))
+        # the future half: only the two-sided cylinder keeps it
+        ahead = PhasePoint(0.5, [-0.5, 0.6], [1.3, 0.4])
+        assert not cylinder_contains(past, ahead)
+        assert cylinder_contains(Cylinder(z0, 1.0, 1.0, side="two_sided"), ahead)
+
     def test_volumes_d1(self):
         Q = Cylinder(zp(0, 0, 0), 1.0, 1.0, side="past")
         assert cylinder_volume(Q) == pytest.approx(4.0, rel=1e-15)
@@ -268,6 +285,15 @@ class TestSliceD:
         assert D.contains(1.2, 2.3)
         assert not D.contains(2.2, 2.3)
         assert not D.contains(1.0, 3.5)
+
+    def test_slice_membership_d2(self):
+        z0 = PhasePoint(0.0, [0.0, 0.0], [1.0, 0.0])
+        D = slice_D(z0, t=-0.5, r=1.0)
+        np.testing.assert_allclose(D.x_center, [0.5, 0.0])
+        assert D.contains([0.5, 0.6], [1.3, 0.4])
+        assert not D.contains([0.5, 0.6], [1.0, 1.0])
+        assert not D.contains([0.5, 1.0], [1.3, 0.4])
+        assert not D.contains([-0.6, 0.0], [1.3, 0.4])
 
     def test_slice_agrees_with_cylinder_sections(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from kfplab.coefficients import CoefficientField, LowerOrderTerms
@@ -256,6 +258,32 @@ class TestSolveInvariants:
         u20 = solve_duhamel(a, 0.0, f, spec, SolveConfig(exponent_cut=20.0))
         scale = np.max(np.abs(u40.values))
         assert np.max(np.abs(u40.values - u20.values)) < 1e-8 * scale
+
+    @given(shift=st.floats(-5.0, 5.0), piecewise=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_time_translation_covariance(self, shift, piecewise):
+        # shifting the source, the output window and the breakpoints by s
+        # shifts the solution; boxcar edges and breakpoints stay off the
+        # output nodes 0, 0.25, ..., 1 so rounding cannot move a node
+        # across one
+        def solve(s):
+            spec = GridSpec(d=1, n_t=5, n_x=8, n_v=8, t_lo=s, t_hi=1.0 + s,
+                            L_x=6.0, L_v=4.0)
+            a = (_piecewise_a((0.35 + s, 0.65 + s), (1.0, 2.5, 0.6))
+                 if piecewise else _const_a(0.8))
+            f = AnalyticSource((
+                _pulse_term(0.4 + s, 0.3, poly=(1.0, 0.4), mx=0.5, mv=0.6,
+                            px=0.2),
+                SourceTerm(TimeProfile(kind="boxcar", start=-2.0 + s,
+                                       stop=0.6 + s),
+                           SpaceFactor(kind="v_mode", amplitude=0.8,
+                                       mode_freq=(math.pi / 2.0,),
+                                       mode_phase=0.3))))
+            return solve_duhamel(a, 0.4, f, spec).values
+
+        base, moved = solve(0.0), solve(shift)
+        scale = np.max(np.abs(base))
+        assert np.max(np.abs(moved - base)) <= 1e-12 * scale
 
     def test_periodization_boxes_share_continuum_coefficients(self):
         # the history quadrature computes the continuum transform before any

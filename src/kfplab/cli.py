@@ -580,9 +580,12 @@ def _cmd_vmo(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
     from .coefficients import osc_prime, osc_xv
     from .geometry import Cylinder
     a = _build_coefficients(cfg["coefficients"], len(cfg["center"]["x"]))
-    center = PhasePoint(t=cfg["center"]["t"],
-                        x=np.asarray(cfg["center"]["x"], dtype=float),
-                        v=np.asarray(cfg["center"]["v"], dtype=float))
+    try:
+        center = PhasePoint(t=cfg["center"]["t"],
+                            x=np.asarray(cfg["center"]["x"], dtype=float),
+                            v=np.asarray(cfg["center"]["v"], dtype=float))
+    except ValueError as exc:
+        raise ConfigError(f"center: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_pairs = cfg.get("n_pairs", 4000)
     n_slices = cfg.get("n_slices", 16)

@@ -19,12 +19,26 @@ SolveConfig.exponent_cut, and a contraction over the panel nodes.  A source
 kind supplies only its weights and its shifted transform at the nodes:
 
 - gaussian terms have spatial transforms known in closed form at any
-  frequency, so they run on the full lattice; the continuum transform of a
-  rapidly decaying profile becomes series coefficients on division by the
-  box volume;
+  frequency; the continuum transform of a rapidly decaying profile becomes
+  series coefficients on division by the box volume;
 - a v_mode term is lattice data at k = 0, where xi - tau k stays at omega,
   so it runs on the one-point lattice (0, omega);
 - a sampled GridField is interpolated between its time slices.
+
+Sources and kernel are real, so the coefficients obey c(-k, -xi) =
+conj c(k, xi).  Gaussian and sampled sources therefore run on the Hermitian
+half lattice: the last velocity axis keeps the modes m = 0, ...,
+ceil(n_v/2) - 1 and, for even n_v, the Nyquist column.  On the grid nodes
+the Nyquist mode -n/2 of an even axis is also +n/2, and the real field
+takes the mean of the two, so each even axis carries that mirror too.  The
+other half is filled by conjugation once, before the one inverse transform.
+
+The velocity transform at the shifted frequency needs no complex
+exponential on the lattice.  Its phase splits as e^{-i(xi - tau k)c} =
+e^{-i xi c} e^{i tau k c}: the first factor depends on xi alone and is
+applied once per term after the contraction, together with the position
+transform, and the second is a small (nodes x k) array.  What remains of
+each Gaussian-times-cosine transform is two real Gaussians.
 
 The one exponent cut applies to every kind, so the only errors are
 quadrature, that cut, and the periodization.
@@ -35,14 +49,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .coefficients import CoefficientField, LowerOrderTerms
 from .fractional import SpectralField
 from .geometry import PhasePoint
-from .grids import GridField, GridSpec, node_phase, on_axis, wavenumbers
+from .grids import (GridField, GridSpec, fft_integers, node_phase, on_axis,
+                    wavenumbers)
 from .norms import second_derivatives, spectral_derivative, transport_derivative
 
 _PULSE_CUT = 12.0  # pulse support is truncated at this many widths
@@ -221,12 +236,23 @@ def _gausscos_values(s, c, sigma, m, phi):
     return np.exp(-0.5 * (u / sigma) ** 2) * np.cos(m * u + phi)
 
 
+def _gausscos_envelope(k, sigma, m, phi):
+    """_gausscos_hat(k, c, ...) e^{ikc}: the transform with its center phase
+    taken out, amp [cos phi (G(k - m) + G(k + m)) + i sin phi (G(k - m) -
+    G(k + m))] with the real Gaussians G(u) = exp(-sigma^2 u^2 / 2)."""
+    k = np.asarray(k, dtype=float)
+    amp = sigma * math.sqrt(2.0 * math.pi) * 0.5
+    g_lo = np.exp(-0.5 * sigma ** 2 * (k - m) ** 2)
+    g_hi = np.exp(-0.5 * sigma ** 2 * (k + m) ** 2)
+    out = np.empty(k.shape, dtype=complex)
+    out.real = amp * math.cos(phi) * (g_lo + g_hi)
+    out.imag = amp * math.sin(phi) * (g_lo - g_hi)
+    return out
+
+
 def _gausscos_hat(k, c, sigma, m, phi):
     """int exp(-(s-c)^2/(2 sigma^2)) cos(m (s-c) + phi) e^{-iks} ds."""
-    amp = sigma * math.sqrt(2.0 * math.pi) * 0.5
-    return np.exp(-1j * np.asarray(k) * c) * amp * (
-        np.exp(1j * phi) * np.exp(-0.5 * sigma ** 2 * (np.asarray(k) - m) ** 2)
-        + np.exp(-1j * phi) * np.exp(-0.5 * sigma ** 2 * (np.asarray(k) + m) ** 2))
+    return np.exp(-1j * np.asarray(k) * c) * _gausscos_envelope(k, sigma, m, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +324,50 @@ def _default_h0(delta, lam, ks, xis, h_max):
     return min(h, h_max)
 
 
-def _freq_axes(spec: GridSpec):
-    return ([wavenumbers(spec.n_x, spec.L_x)] * spec.d,
-            [wavenumbers(spec.n_v, spec.L_v)] * spec.d)
+def _axis_modes(n: int, half: bool = False) -> np.ndarray:
+    """Mode numbers of one axis as the solver evaluates it: FFT order, cut
+    to its first n // 2 + 1 modes on the Hermitian half axis, and on an
+    even axis with the mirror +n/2 of the Nyquist mode -n/2 appended."""
+    m = fft_integers(n)[:n // 2 + 1] if half else fft_integers(n)
+    return m if n % 2 else np.append(m, n // 2)
+
+
+def _half_lattice(spec: GridSpec):
+    """Position and velocity wavenumbers at which the solver evaluates
+    coefficients: every axis by _axis_modes, the last velocity axis halved."""
+    mv = [_axis_modes(spec.n_v)] * (spec.d - 1) + [_axis_modes(spec.n_v, half=True)]
+    return ([np.pi / spec.L_x * _axis_modes(spec.n_x)] * spec.d,
+            [np.pi / spec.L_v * m for m in mv])
+
+
+def _full_coefficients(spec: GridSpec, c) -> np.ndarray:
+    """Series coefficients on the grid's full lattice from c on the half
+    lattice of _half_lattice.
+
+    On the grid nodes a Nyquist mode -n/2 and its mirror +n/2 are one
+    function, and the real field takes the mean of c at a lattice point and
+    at its image with every Nyquist mode mirrored.  That mean obeys
+    c(-k, -xi) = conj c(k, xi) on the lattice, which fills the columns past
+    the half of the last velocity axis.
+    """
+    same, mirrored = c, c
+    for axis in range(1, c.ndim):
+        n = spec.shape[axis]
+        idx = np.arange(n if axis < c.ndim - 1 else n // 2 + 1)
+        same = same.take(idx, axis=axis)
+        if n % 2 == 0:
+            idx[n // 2] = c.shape[axis] - 1
+        mirrored = mirrored.take(idx, axis=axis)
+    half = 0.5 * (same + mirrored)
+    h = half.shape[-1]
+    full = np.empty(spec.shape, dtype=complex)
+    full[..., :h] = half
+    flipped = half[..., spec.n_v - np.arange(h, spec.n_v)]
+    for axis in range(1, c.ndim - 1):
+        n = spec.shape[axis]
+        flipped = flipped.take(-np.arange(n) % n, axis=axis)
+    full[..., h:] = flipped.conj()
+    return full
 
 
 def _quadratics(A, ks, xis):
@@ -392,29 +459,33 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
 # the solver
 
 
-def _x_hat(fac: SpaceFactor, ks):
+def _x_hat(fac: SpaceFactor, ks, xis):
+    """Position transform times the velocity center phase e^{-i xi . c} on
+    the lattice (ks, xis)."""
     d = len(ks)
     out = np.full((1,) * (2 * d), fac.amplitude, dtype=complex)
     for i in range(d):
         g = _gausscos_hat(ks[i], fac.x_center[i], fac.x_sigma,
                           fac.x_freq[i], fac.x_phase[i])
         out = out * on_axis(g, i, 2 * d)
+    for i in range(d):
+        out = out * on_axis(np.exp(-1j * xis[i] * fac.v_center[i]), d + i, 2 * d)
     return out
 
 
 def _v_hat_shifted(fac: SpaceFactor, ks, xis, taus):
-    """Velocity transform at xi - tau k for every mode and panel node."""
+    """Velocity transform at xi - tau k for every mode and panel node, short
+    of the phase e^{-i xi . c} that _x_hat carries."""
     d = len(ks)
-    g = len(taus)
-    taus_r = taus.reshape((g,) + (1,) * (2 * d))
-    out = np.ones((g,) + (1,) * (2 * d), dtype=complex)
+    taus_r = taus.reshape((len(taus),) + (1,) * (2 * d))
+    factors = []
     for i in range(d):
-        k = on_axis(ks[i], i, 2 * d)[None]
+        tk = taus_r * on_axis(ks[i], i, 2 * d)[None]
         xi = on_axis(xis[i], d + i, 2 * d)[None]
-        arg = xi - taus_r * k
-        out = out * _gausscos_hat(arg, fac.v_center[i], fac.v_sigma,
-                                  fac.v_freq[i], fac.v_phase[i])
-    return out
+        factors.append(np.exp(1j * fac.v_center[i] * tk)
+                       * _gausscos_envelope(xi - tk, fac.v_sigma, fac.v_freq[i],
+                                            fac.v_phase[i]))
+    return reduce(np.multiply, factors)
 
 
 def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
@@ -444,20 +515,21 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     if f.d != out_spec.d:
         raise ValueError("source/grid dimension mismatch")
 
-    ks, xis = _freq_axes(out_spec)
-    coeffs = np.zeros(out_spec.shape, dtype=complex)
+    ks, xis = _half_lattice(out_spec)
+    half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
     for term in f.terms:
         prof, fac = term.profile, term.factor
         if fac.kind != "gaussian":
             continue
-        xhat = _x_hat(fac, ks)
+        xhat = _x_hat(fac, ks, xis)
         for it, acc in _history(
                 a, lam, cfg, out_spec.t_nodes, ks, xis, prof.support(),
                 lambda t_out, taus: (prof.value(t_out - taus),
                                      _v_hat_shifted(fac, ks, xis, taus)),
                 prof.fine_step()):
-            coeffs[it] += acc * xhat
-    coeffs /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
+            half[it] += acc * xhat
+    half /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
+    coeffs = _full_coefficients(out_spec, half)
 
     for term in f.terms:
         if term.factor.kind == "v_mode":
@@ -515,10 +587,25 @@ def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
     if s.n_t < 2:
         raise ValueError("sampled source needs at least two time slices")
 
-    ks, xis = _freq_axes(s)
-    k, xi = ks[0], xis[0]
+    ks, xis = _half_lattice(s)
+    half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
+    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
+                            (s.t_lo, s.t_hi), _sampled_transform(g, ks[0], xis[0]),
+                            knots=s.t_nodes):
+        half[it] = acc
+    half /= (2.0 * s.L_x) * (2.0 * s.L_v)
+    return SpectralField(out_spec, _full_coefficients(out_spec, half)).to_grid()
+
+
+def _sampled_transform(g: GridField, k, xi):
+    """Source callback of a sampled field on the lattice (k, xi): the exact
+    position transform of each slice, interpolated linearly in time, then
+    the rectangle-rule velocity transform at xi - tau k."""
+    s = g.spec
     v = s.v_nodes
     Fx = s.dx * node_phase(s.n_x)[None, :, None] * np.fft.fft(g.values, axis=1)
+    # a mirror mode +n/2 reads the row of -n/2, the same function on the grid
+    Fx = Fx[:, np.rint(k * s.L_x / np.pi).astype(int) % s.n_x]
     Mv = s.dv * np.exp(-1j * np.outer(v, xi))
 
     def slices(t_out, taus):
@@ -531,12 +618,7 @@ def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
         mod = np.exp(1j * taus[:, None, None] * k[None, :, None] * v[None, None, :])
         return 1.0, (F * mod) @ Mv
 
-    coeffs = np.zeros(out_spec.shape, dtype=complex)
-    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
-                            (s.t_lo, s.t_hi), slices, knots=s.t_nodes):
-        coeffs[it] = acc
-    coeffs /= (2.0 * s.L_x) * (2.0 * s.L_v)
-    return SpectralField(out_spec, coeffs).to_grid()
+    return slices
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "does not match grid" in capsys.readouterr().err
 
+    def test_vmo_center_dimensions_must_agree(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "vmo.yaml", {
+            "coefficients": {"kind": "constant_spd", "delta": 0.4, "value": 1.0},
+            "radii": [0.5],
+            "center": {"t": 0.0, "x": [0.0, 0.1], "v": [0.2]},
+        })
+        assert main(["vmo", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: center:" in capsys.readouterr().err
+
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("kfplab")
         assert exe is not None

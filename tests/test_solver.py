@@ -12,14 +12,19 @@ from scipy import integrate
 from kfplab.coefficients import CoefficientField, LowerOrderTerms
 from kfplab.fractional import SpectralField
 from kfplab.geometry import PhasePoint
-from kfplab.grids import GridField, GridSpec
+from kfplab.grids import GridField, GridSpec, wavenumbers
 from kfplab.solver import (
     AnalyticSource,
     SolveConfig,
     SourceTerm,
     SpaceFactor,
     TimeProfile,
+    _accumulate_mode_term,
     _gausscos_hat,
+    _history,
+    _sampled_transform,
+    _v_hat_shifted,
+    _x_hat,
     apply_operator,
     cauchy_solve,
     scaling_conjugation_check,
@@ -130,6 +135,102 @@ class TestTransformOracles:
                         v_freq=(0.0, 0.0), v_phase=(0.0, 0.0))
         with pytest.raises(ValueError, match="term"):
             AnalyticSource(())
+
+
+    @given(c=st.floats(-1.0, 1.0), sigma=st.floats(0.3, 2.0),
+           m=st.floats(0.0, 2.0), phi=st.floats(-math.pi, math.pi),
+           tau=st.floats(0.0, 2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_factored_shifted_transform_matches_direct(self, c, sigma, m, phi,
+                                                       tau):
+        # the solver splits e^{-i(xi - tau k)c} into e^{-i xi c}, which _x_hat
+        # carries, and e^{i tau k c}; together they give the direct transform
+        k, xi = wavenumbers(9, 3.0), wavenumbers(8, 2.5)
+        fac = SpaceFactor(kind="gaussian", v_center=(c,), v_sigma=sigma,
+                          v_freq=(m,), v_phase=(phi,))
+        got = (_v_hat_shifted(fac, [k], [xi], np.array([tau]))[0]
+               * np.exp(-1j * xi * c)[None, :])
+        want = _gausscos_hat(xi[None, :] - tau * k[:, None], c, sigma, m, phi)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _full_lattice_solve(a, lam, f, spec, cfg=SolveConfig()):
+    """The history integral on the full (k, xi) lattice, then the real part
+    of its inverse transform: the reference for the half-lattice solver."""
+    ks = [wavenumbers(spec.n_x, spec.L_x)] * spec.d
+    xis = [wavenumbers(spec.n_v, spec.L_v)] * spec.d
+    box = (2.0 * spec.L_x) ** spec.d * (2.0 * spec.L_v) ** spec.d
+    coeffs = np.zeros(spec.shape, dtype=complex)
+    if isinstance(f, GridField):
+        for it, acc in _history(a, lam, cfg, spec.t_nodes, ks, xis,
+                                (f.spec.t_lo, f.spec.t_hi),
+                                _sampled_transform(f, ks[0], xis[0]),
+                                knots=f.spec.t_nodes):
+            coeffs[it] = acc
+        return SpectralField(spec, coeffs / box).to_grid().values
+    for term in f.terms:
+        prof, fac = term.profile, term.factor
+        if fac.kind == "gaussian":
+            xhat = _x_hat(fac, ks, xis)
+            for it, acc in _history(
+                    a, lam, cfg, spec.t_nodes, ks, xis, prof.support(),
+                    lambda t_out, taus: (prof.value(t_out - taus),
+                                         _v_hat_shifted(fac, ks, xis, taus)),
+                    prof.fine_step()):
+                coeffs[it] += acc * xhat
+    coeffs /= box
+    for term in f.terms:
+        if term.factor.kind == "v_mode":
+            _accumulate_mode_term(a, lam, term, spec, cfg, coeffs)
+    return SpectralField(spec, coeffs).to_grid().values
+
+
+class TestHalfLattice:
+    # even axes carry a Nyquist mode whose mirror the half lattice must
+    # average in, odd ones do not; n_v sets the half of the last axis
+    @pytest.mark.parametrize("n_x,n_v", [(6, 7), (5, 8), (8, 8)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("piecewise", [False, True])
+    def test_matches_full_lattice(self, n_x, n_v, d, piecewise):
+        spec = GridSpec(d=d, n_t=4, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
+             if piecewise else
+             CoefficientField(kind="constant_spd", d=d, delta=0.3,
+                              matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
+        step = math.pi / spec.L_v
+        f = AnalyticSource((
+            SourceTerm(
+                TimeProfile(kind="pulse", center=0.4, width=0.3, poly=(1.0, 0.3)),
+                SpaceFactor(kind="gaussian", amplitude=1.2,
+                            x_center=(0.3, -0.5)[:d], x_sigma=0.6,
+                            x_freq=(0.7, 0.2)[:d], x_phase=(2.1, 0.4)[:d],
+                            v_center=(-0.4, 0.6)[:d], v_sigma=0.5,
+                            v_freq=(0.9, 0.3)[:d], v_phase=(1.3, 5.0)[:d])),
+            SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
+                       SpaceFactor(kind="v_mode", amplitude=0.7,
+                                   mode_freq=(2 * step, step)[:d],
+                                   mode_phase=0.3))))
+        want = _full_lattice_solve(a, 0.4, f, spec)
+        got = solve_duhamel(a, 0.4, f, spec).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_x,n_v", [(6, 7), (8, 8)])
+    @pytest.mark.parametrize("piecewise", [False, True])
+    def test_sampled_source_matches_full_lattice(self, n_x, n_v, piecewise):
+        out = GridSpec(d=1, n_t=5, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.2,
+                       L_x=3.0, L_v=2.5)
+        src = GridSpec(d=1, n_t=41, n_x=n_x, n_v=n_v, t_lo=-1.0, t_hi=1.2,
+                       L_x=3.0, L_v=2.5)
+        g = AnalyticSource((_pulse_term(0.4, 0.3, sx=0.6, mx=0.7, px=2.1,
+                                        sv=0.5, mv=0.9, pv=1.3, cx=0.3,
+                                        cv=-0.4),)).sample(src)
+        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), delta=0.1)
+             if piecewise else _const_a(0.9))
+        cfg = SolveConfig(grid_source_interpolation=True)
+        want = _full_lattice_solve(a, 0.2, g, out, cfg)
+        got = solve_duhamel(a, 0.2, g, out, cfg).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestAnchors:

@@ -12,8 +12,9 @@ xi -> xi - tau k, whose solution is the explicit integral
 
 E is piecewise cubic in tau between the coefficient breakpoints, so it is
 accumulated in closed form.  One driver, _history, does the remaining
-integral for every source kind: Gauss-Legendre panels graded geometrically
-away from tau = 0 (where the kernel varies fastest) and split at source and
+integral for every source kind and returns it at every output time as one
+(time, lattice) stack: Gauss-Legendre panels graded geometrically away from
+tau = 0 (where the kernel varies fastest) and split at source and
 coefficient edges, the kernel cut to zero where its exponent passes
 SolveConfig.exponent_cut, and a contraction over the panel nodes.  A source
 kind supplies only its weights and its shifted transform at the nodes:
@@ -22,7 +23,8 @@ kind supplies only its weights and its shifted transform at the nodes:
   frequency; the continuum transform of a rapidly decaying profile becomes
   series coefficients on division by the box volume;
 - a v_mode term is lattice data at k = 0, where xi - tau k stays at omega,
-  so it runs on the one-point lattice (0, omega);
+  so its solution is its own spatial factor cos(omega . v + phase) times
+  the scalar history on the one-point lattice (0, omega), formed on the grid;
 - a sampled GridField is interpolated between its time slices.
 
 Sources and kernel are real, so the coefficients obey c(-k, -xi) =
@@ -49,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -209,26 +211,32 @@ class AnalyticSource:
         nd = 1 + 2 * spec.d
         out = np.zeros(spec.shape)
         for term in self.terms:
-            pv = on_axis(term.profile.value(spec.t_nodes), 0, nd)
             fac = term.factor
-            if fac.kind == "gaussian":
-                spatial = np.ones((1,) * nd)
-                for i in range(spec.d):
-                    g = _gausscos_values(spec.x_nodes, fac.x_center[i],
-                                         fac.x_sigma, fac.x_freq[i], fac.x_phase[i])
-                    spatial = spatial * on_axis(g, 1 + i, nd)
-                for i in range(spec.d):
-                    g = _gausscos_values(spec.v_nodes, fac.v_center[i],
-                                         fac.v_sigma, fac.v_freq[i], fac.v_phase[i])
-                    spatial = spatial * on_axis(g, 1 + spec.d + i, nd)
-            else:
-                phase = np.zeros((1,) * nd)
-                for i in range(spec.d):
-                    phase = phase + on_axis(fac.mode_freq[i] * spec.v_nodes,
-                                            1 + spec.d + i, nd)
-                spatial = np.cos(phase + fac.mode_phase)
-            out = out + fac.amplitude * pv * spatial
+            pv = on_axis(term.profile.value(spec.t_nodes), 0, nd)
+            out = out + fac.amplitude * pv * _spatial_values(fac, spec)
         return GridField(spec, np.broadcast_to(out, spec.shape).copy())
+
+
+def _spatial_values(fac: SpaceFactor, spec: GridSpec) -> np.ndarray:
+    """The space factor over its amplitude at the position and velocity
+    nodes, broadcastable against spec.shape."""
+    nd = 1 + 2 * spec.d
+    if fac.kind == "v_mode":
+        phase = np.zeros((1,) * nd)
+        for i in range(spec.d):
+            phase = phase + on_axis(fac.mode_freq[i] * spec.v_nodes,
+                                    1 + spec.d + i, nd)
+        return np.cos(phase + fac.mode_phase)
+    spatial = np.ones((1,) * nd)
+    for i in range(spec.d):
+        g = _gausscos_values(spec.x_nodes, fac.x_center[i], fac.x_sigma,
+                             fac.x_freq[i], fac.x_phase[i])
+        spatial = spatial * on_axis(g, 1 + i, nd)
+    for i in range(spec.d):
+        g = _gausscos_values(spec.v_nodes, fac.v_center[i], fac.v_sigma,
+                             fac.v_freq[i], fac.v_phase[i])
+        spatial = spatial * on_axis(g, 1 + spec.d + i, nd)
+    return spatial
 
 
 def _gausscos_values(s, c, sigma, m, phi):
@@ -415,9 +423,9 @@ def _lattice_exponent(pieces, taus_r):
 
 def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
              knots=()):
-    """The history integral of one source on the lattice (ks, xis), yielded
-    as (time index, lattice coefficients) for each output time past the
-    start of the source window (lo, hi).
+    """The history integral of one source on the lattice (ks, xis) at every
+    output time, shape (len(t_nodes),) + lattice, zero at the output times
+    up to the start of the source window (lo, hi).
 
     source(t_out, taus) returns the source's weights at the nodes taus and
     its transform at (k, xi - tau k), broadcastable to (len(taus),) +
@@ -431,7 +439,8 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     gl_x, gl_w = _leggauss(cfg.quad_order)
     lo, hi = window
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
-    for it, t_out in enumerate(t_nodes):
+    out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
+    for acc, t_out in zip(out, t_nodes):
         tau_hi = t_out - lo
         if tau_hi <= 0:
             continue
@@ -439,7 +448,6 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
         pieces = _exponent_pieces(a, t_out, ks, xis, tau_hi)
         edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
         fine = [(t_out - hi, t_out - lo, fine_step)] if fine_step is not None else []
-        acc = np.zeros(lattice, dtype=complex)
         for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth,
                                   edges, fine):
             taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
@@ -452,7 +460,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                 continue
             weights, shifted = source(t_out, taus)
             acc += np.tensordot(wts * weights, K * shifted, axes=(0, 0))
-        yield it, acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -508,93 +516,71 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     if out_spec.d > 2:
         raise ValueError("frequency lattices above dimension 2 do not fit in memory")
 
-    if isinstance(f, GridField):
-        return _solve_sampled(a, lam, f, out_spec, cfg)
-    if not isinstance(f, AnalyticSource):
-        raise TypeError("source must be an AnalyticSource or a GridField")
-    if f.d != out_spec.d:
-        raise ValueError("source/grid dimension mismatch")
-
+    history = partial(_history, a, lam, cfg, out_spec.t_nodes)
     ks, xis = _half_lattice(out_spec)
-    half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
-    for term in f.terms:
+    if isinstance(f, GridField):
+        _check_sampled(f, out_spec, cfg)
+        s, terms = f.spec, ()
+        half = history(ks, xis, (s.t_lo, s.t_hi),
+                       _sampled_transform(f, ks[0], xis[0]), knots=s.t_nodes)
+    elif isinstance(f, AnalyticSource):
+        if f.d != out_spec.d:
+            raise ValueError("source/grid dimension mismatch")
+        terms = f.terms
+        half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
+    else:
+        raise TypeError("source must be an AnalyticSource or a GridField")
+    modes = [term for term in terms if term.factor.kind == "v_mode"]
+    for term in modes:
+        _check_mode(term.factor, out_spec)
+    for term in terms:
         prof, fac = term.profile, term.factor
-        if fac.kind != "gaussian":
-            continue
-        xhat = _x_hat(fac, ks, xis)
-        for it, acc in _history(
-                a, lam, cfg, out_spec.t_nodes, ks, xis, prof.support(),
-                lambda t_out, taus: (prof.value(t_out - taus),
-                                     _v_hat_shifted(fac, ks, xis, taus)),
-                prof.fine_step()):
-            half[it] += acc * xhat
+        if fac.kind == "gaussian":
+            h = history(ks, xis, prof.support(),
+                        lambda t_out, taus: (prof.value(t_out - taus),
+                                             _v_hat_shifted(fac, ks, xis, taus)),
+                        prof.fine_step())
+            half += np.multiply(h, _x_hat(fac, ks, xis), out=h)
+            del h  # free the stack before the next term's history
     half /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
-    coeffs = _full_coefficients(out_spec, half)
+    u = SpectralField(out_spec, _full_coefficients(out_spec, half)).to_grid()
+    for term in modes:
+        prof, fac = term.profile, term.factor
+        h = history([np.zeros(1)] * out_spec.d,
+                    [np.array([w], dtype=float) for w in fac.mode_freq],
+                    prof.support(),
+                    lambda t_out, taus: (prof.value(t_out - taus), 1.0),
+                    prof.fine_step())
+        u.values[...] += fac.amplitude * h.real * _spatial_values(fac, out_spec)
+    return u
 
-    for term in f.terms:
-        if term.factor.kind == "v_mode":
-            _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs)
 
-    return SpectralField(out_spec, coeffs).to_grid()
-
-
-def _mode_indices(fac: SpaceFactor, spec: GridSpec) -> list:
-    """Velocity lattice indices of a v_mode frequency on the grid."""
+def _check_mode(fac: SpaceFactor, spec: GridSpec) -> None:
+    """A v_mode frequency must sit on the grid's velocity lattice, at most
+    at its Nyquist mode."""
     ms = np.asarray(fac.mode_freq, dtype=float) / (np.pi / spec.L_v)
     if np.any(np.abs(ms - np.round(ms)) > 1e-9):
         raise ValueError("v_mode frequency must sit on the velocity "
                          "frequency lattice of the output grid")
     if np.any(np.abs(np.round(ms)) > spec.n_v // 2):
         raise ValueError("v_mode frequency beyond the grid Nyquist")
-    return [int(m) for m in np.round(ms)]
 
 
-def _accumulate_mode_term(a, lam, term, out_spec, cfg, coeffs):
-    """Exact lattice handling of a position-constant cosine source: it is
-    lattice data at k = 0, where xi - tau k stays at omega, so the driver
-    runs on the one-point lattice (0, omega) and the result is scattered to
-    the modes (0, +-m)."""
-    d = out_spec.d
-    prof, fac = term.profile, term.factor
-    idx = _mode_indices(fac, out_spec)
-    ks = [np.zeros(1)] * d
-    xis = [np.array([w], dtype=float) for w in fac.mode_freq]
-    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
-                            prof.support(),
-                            lambda t_out, taus: (prof.value(t_out - taus), 1.0),
-                            prof.fine_step()):
-        half = 0.5 * fac.amplitude * acc.item().real
-        for sign in (1, -1):
-            at = (it,) + (0,) * d + tuple(sign * m % out_spec.n_v for m in idx)
-            coeffs[at] += half * np.exp(sign * 1j * fac.mode_phase)
-
-
-def _solve_sampled(a, lam, g: GridField, out_spec, cfg):
-    """History integral for a source known only at grid nodes: position
-    transform exact, velocity transform at the shifted frequency by a
-    windowed rectangle rule, linear interpolation between time slices."""
+def _check_sampled(g: GridField, spec: GridSpec, cfg: SolveConfig) -> None:
+    """A sampled source must be opted into, since it is interpolated between
+    its slices, and must share the output grid's position and velocity axes."""
     if not cfg.grid_source_interpolation:
         raise ValueError("a sampled source is only an approximation; pass a "
                          "SolveConfig with grid_source_interpolation=True to "
                          "accept interpolation between its slices")
-    if out_spec.d != 1 or g.spec.d != 1:
+    if spec.d != 1 or g.spec.d != 1:
         raise ValueError("sampled sources are supported in dimension 1 only")
     s = g.spec
-    if (s.n_x, s.L_x, s.n_v, s.L_v) != (out_spec.n_x, out_spec.L_x,
-                                        out_spec.n_v, out_spec.L_v):
+    if (s.n_x, s.L_x, s.n_v, s.L_v) != (spec.n_x, spec.L_x, spec.n_v, spec.L_v):
         raise ValueError("sampled source must share the output grid's "
                          "position and velocity axes")
     if s.n_t < 2:
         raise ValueError("sampled source needs at least two time slices")
-
-    ks, xis = _half_lattice(s)
-    half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
-    for it, acc in _history(a, lam, cfg, out_spec.t_nodes, ks, xis,
-                            (s.t_lo, s.t_hi), _sampled_transform(g, ks[0], xis[0]),
-                            knots=s.t_nodes):
-        half[it] = acc
-    half /= (2.0 * s.L_x) * (2.0 * s.L_v)
-    return SpectralField(out_spec, _full_coefficients(out_spec, half)).to_grid()
 
 
 def _sampled_transform(g: GridField, k, xi):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from kfplab import solver
 from kfplab.coefficients import CoefficientField, LowerOrderTerms
 from kfplab.fractional import SpectralField
 from kfplab.geometry import PhasePoint
@@ -19,7 +20,6 @@ from kfplab.solver import (
     SourceTerm,
     SpaceFactor,
     TimeProfile,
-    _accumulate_mode_term,
     _gausscos_hat,
     _history,
     _sampled_transform,
@@ -156,33 +156,70 @@ class TestTransformOracles:
 
 def _full_lattice_solve(a, lam, f, spec, cfg=SolveConfig()):
     """The history integral on the full (k, xi) lattice, then the real part
-    of its inverse transform: the reference for the half-lattice solver."""
+    of its inverse transform: the reference for the half-lattice solver.  A
+    v_mode term's history on the one-point lattice (0, omega) is scattered
+    to the lattice modes (0, +-m) of its frequency."""
     ks = [wavenumbers(spec.n_x, spec.L_x)] * spec.d
     xis = [wavenumbers(spec.n_v, spec.L_v)] * spec.d
     box = (2.0 * spec.L_x) ** spec.d * (2.0 * spec.L_v) ** spec.d
-    coeffs = np.zeros(spec.shape, dtype=complex)
     if isinstance(f, GridField):
-        for it, acc in _history(a, lam, cfg, spec.t_nodes, ks, xis,
-                                (f.spec.t_lo, f.spec.t_hi),
-                                _sampled_transform(f, ks[0], xis[0]),
-                                knots=f.spec.t_nodes):
-            coeffs[it] = acc
+        coeffs = _history(a, lam, cfg, spec.t_nodes, ks, xis,
+                          (f.spec.t_lo, f.spec.t_hi),
+                          _sampled_transform(f, ks[0], xis[0]),
+                          knots=f.spec.t_nodes)
         return SpectralField(spec, coeffs / box).to_grid().values
+    coeffs = np.zeros(spec.shape, dtype=complex)
     for term in f.terms:
         prof, fac = term.profile, term.factor
         if fac.kind == "gaussian":
-            xhat = _x_hat(fac, ks, xis)
-            for it, acc in _history(
-                    a, lam, cfg, spec.t_nodes, ks, xis, prof.support(),
-                    lambda t_out, taus: (prof.value(t_out - taus),
-                                         _v_hat_shifted(fac, ks, xis, taus)),
-                    prof.fine_step()):
-                coeffs[it] += acc * xhat
+            coeffs += _history(
+                a, lam, cfg, spec.t_nodes, ks, xis, prof.support(),
+                lambda t_out, taus: (prof.value(t_out - taus),
+                                     _v_hat_shifted(fac, ks, xis, taus)),
+                prof.fine_step()) * _x_hat(fac, ks, xis)
     coeffs /= box
     for term in f.terms:
-        if term.factor.kind == "v_mode":
-            _accumulate_mode_term(a, lam, term, spec, cfg, coeffs)
+        prof, fac = term.profile, term.factor
+        if fac.kind != "v_mode":
+            continue
+        h = _history(a, lam, cfg, spec.t_nodes, [np.zeros(1)] * spec.d,
+                     [np.array([w], dtype=float) for w in fac.mode_freq],
+                     prof.support(),
+                     lambda t_out, taus: (prof.value(t_out - taus), 1.0),
+                     prof.fine_step())
+        half = 0.5 * fac.amplitude * h.real.reshape(-1)
+        idx = np.rint(np.asarray(fac.mode_freq) * spec.L_v / np.pi).astype(int)
+        for sign in (1, -1):
+            at = (slice(None),) + (0,) * spec.d + tuple(sign * idx % spec.n_v)
+            coeffs[at] += half * np.exp(sign * 1j * fac.mode_phase)
     return SpectralField(spec, coeffs).to_grid().values
+
+
+def _check_half_lattice(d, n_x, n_v, piecewise, steps):
+    """solve_duhamel against _full_lattice_solve for a Gaussian pulse plus a
+    v_mode term whose frequency is steps lattice steps pi / L_v."""
+    spec = GridSpec(d=d, n_t=4, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.0,
+                    L_x=3.0, L_v=2.5)
+    a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
+         if piecewise else
+         CoefficientField(kind="constant_spd", d=d, delta=0.3,
+                          matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
+    step = math.pi / spec.L_v
+    f = AnalyticSource((
+        SourceTerm(
+            TimeProfile(kind="pulse", center=0.4, width=0.3, poly=(1.0, 0.3)),
+            SpaceFactor(kind="gaussian", amplitude=1.2,
+                        x_center=(0.3, -0.5)[:d], x_sigma=0.6,
+                        x_freq=(0.7, 0.2)[:d], x_phase=(2.1, 0.4)[:d],
+                        v_center=(-0.4, 0.6)[:d], v_sigma=0.5,
+                        v_freq=(0.9, 0.3)[:d], v_phase=(1.3, 5.0)[:d])),
+        SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
+                   SpaceFactor(kind="v_mode", amplitude=0.7,
+                               mode_freq=tuple(m * step for m in steps),
+                               mode_phase=0.3))))
+    want = _full_lattice_solve(a, 0.4, f, spec)
+    got = solve_duhamel(a, 0.4, f, spec).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestHalfLattice:
@@ -192,28 +229,17 @@ class TestHalfLattice:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("piecewise", [False, True])
     def test_matches_full_lattice(self, n_x, n_v, d, piecewise):
-        spec = GridSpec(d=d, n_t=4, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.0,
-                        L_x=3.0, L_v=2.5)
-        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
-             if piecewise else
-             CoefficientField(kind="constant_spd", d=d, delta=0.3,
-                              matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
-        step = math.pi / spec.L_v
-        f = AnalyticSource((
-            SourceTerm(
-                TimeProfile(kind="pulse", center=0.4, width=0.3, poly=(1.0, 0.3)),
-                SpaceFactor(kind="gaussian", amplitude=1.2,
-                            x_center=(0.3, -0.5)[:d], x_sigma=0.6,
-                            x_freq=(0.7, 0.2)[:d], x_phase=(2.1, 0.4)[:d],
-                            v_center=(-0.4, 0.6)[:d], v_sigma=0.5,
-                            v_freq=(0.9, 0.3)[:d], v_phase=(1.3, 5.0)[:d])),
-            SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
-                       SpaceFactor(kind="v_mode", amplitude=0.7,
-                                   mode_freq=(2 * step, step)[:d],
-                                   mode_phase=0.3))))
-        want = _full_lattice_solve(a, 0.4, f, spec)
-        got = solve_duhamel(a, 0.4, f, spec).values
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        _check_half_lattice(d, n_x, n_v, piecewise, (2, 1)[:d])
+
+    # v_mode frequencies in lattice steps: the highest mode (the Nyquist
+    # mode on an even axis), a zero and a negative last component
+    @pytest.mark.parametrize("mode", ["nyquist", "zero_last", "negative_last"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n_v", [7, 8])
+    def test_v_mode_frequencies_match_full_lattice(self, mode, d, n_v):
+        steps = {"nyquist": (-1, n_v // 2), "zero_last": (2, 0),
+                 "negative_last": (1, -3)}[mode][-d:]
+        _check_half_lattice(d, 5, n_v, True, steps)
 
     @pytest.mark.parametrize("n_x,n_v", [(6, 7), (8, 8)])
     @pytest.mark.parametrize("piecewise", [False, True])
@@ -569,6 +595,27 @@ class TestSolveInvariants:
             SpaceFactor(kind="v_mode", mode_freq=(np.pi / 4.0 * 5,))),))
         with pytest.raises(ValueError, match="Nyquist"):
             solve_duhamel(_const_a(), 0.0, nyq, spec)
+
+    def test_off_lattice_mode_raises_before_any_quadrature(self, monkeypatch):
+        calls = []
+        history = solver._history
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return history(*args, **kw)
+
+        monkeypatch.setattr(solver, "_history", counted)
+        spec = self._grid()
+        pulse = AnalyticSource((_pulse_term(0.4, 0.3),))
+        solve_duhamel(_const_a(), 0.0, pulse, spec)
+        assert calls, "the counter must see the Gaussian quadrature"
+        calls.clear()
+        mode = AnalyticSource((SourceTerm(
+            TimeProfile(kind="boxcar", start=0.0, stop=1.0),
+            SpaceFactor(kind="v_mode", mode_freq=(0.7,))),))
+        with pytest.raises(ValueError, match="lattice"):
+            solve_duhamel(_const_a(), 0.0, pulse + mode, spec)
+        assert calls == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ class SpectralField:
         axes = spec.x_axes + spec.v_axes
         vals = (np.fft.ifftn(self.coeffs * _lattice_phase(spec), axes=axes)
                 * np.prod(spec.shape[1:]))
-        return GridField(spec, vals.real)
+        return GridField(spec, np.ascontiguousarray(vals.real))
 
 
 def _lattice_phase(spec: GridSpec) -> np.ndarray:

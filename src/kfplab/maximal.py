@@ -9,6 +9,10 @@ centers extended past the last node so top slices stay covered).  Averages
 are plain means over the grid nodes contained in a cylinder, with x and v
 membership taken modulo the periodic box; this under-approximates the true
 sup, which is the right one-sidedness for every downstream check.
+
+Every cylinder sum is numpy's pairwise sum over one contiguous row holding
+the cylinder's members in t, then x, then v order, so the results do not
+depend on how many fields are swept together.
 """
 
 from __future__ import annotations
@@ -106,14 +110,16 @@ class CylinderFamily:
                     yield float(t1), xn[list(xt)], v1
 
 
-def _axis_dist2(nodes: np.ndarray, center: np.ndarray, period: float, d: int) -> np.ndarray:
-    """Squared min-image distance on the d-fold product grid, shape (n,)*d."""
+def _axis_dist2(nodes: np.ndarray, centers: np.ndarray, period: float, d: int) -> np.ndarray:
+    """Squared min-image distance from each of the (..., d) centers to every
+    node of the d-fold product grid, shape (...,) + (n,)*d."""
     n = len(nodes)
-    out = np.zeros((n,) * d)
+    lead = centers.shape[:-1]
+    out = np.zeros(lead + (n,) * d)
     for a in range(d):
-        da = _min_image(nodes - center[a], period)
-        shape = [1] * d
-        shape[a] = n
+        da = _min_image(nodes - centers[..., a, None], period)
+        shape = list(lead) + [1] * d
+        shape[len(lead) + a] = n
         out = out + (da * da).reshape(shape)
     return out
 
@@ -124,19 +130,24 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
     fields is a stacked (m, n_t, n_x^d, n_v^d) array (ignored for mode
     'count').  Returns the pointwise max of cylinder averages ('maximal'),
     of mean absolute deviations ('sharp'), or per-scale membership counts
-    ('count').  Node gathers run t-major then x then v so the summation
-    order is reproducible.
+    ('count').
+
+    Cylinders sharing (r, t1, v1) run together: those with equal member
+    counts are gathered into one contiguous (m, cylinders, count) block and
+    summed along its rows, and the max-scatter over their members is one
+    masked max.  Max is exact and every candidate is >= 0, so the scatter
+    order and the zero fill do not change the result.
     """
-    n_x, n_v = spec.n_x ** spec.d, spec.n_v ** spec.d
+    d = spec.d
+    n_x, n_v = spec.n_x ** d, spec.n_v ** d
     tn = spec.t_nodes
     if mode == "count":
         out = np.zeros((len(fam.radii), spec.n_t, n_x, n_v), dtype=np.int64)
     else:
         m = fields.shape[0]
-        vals = fields.reshape(m, spec.n_t, n_x, n_v)
-        absvals = np.abs(vals)
+        vals = fields.reshape(m, spec.n_t * n_x * n_v)
+        src = np.abs(vals) if mode == "maximal" else vals
         out = np.zeros((m, spec.n_t, n_x, n_v))
-        rows = np.arange(m)
     xn, vn = spec.x_nodes, spec.v_nodes
     px, pv = 2.0 * spec.L_x, 2.0 * spec.L_v
     for s_idx, r in enumerate(fam.radii):
@@ -144,49 +155,44 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
         R3 = (fam.c * r) ** 3
         R2 = R3 * R3
         t1s, x_idx, v_idx = fam._scale_lattice(spec, r)
-        v_masks = []
-        for vt in itertools.product(v_idx, repeat=spec.d):
-            v1 = vn[list(vt)]
-            d2 = _axis_dist2(vn, v1, pv, spec.d)
-            vl = np.flatnonzero(d2.ravel() < r2)
-            v_masks.append((v1, vl))
+        x1s = xn[np.array(list(itertools.product(x_idx, repeat=d)))]
+        v1s = vn[np.array(list(itertools.product(v_idx, repeat=d)))]
+        v_in = _axis_dist2(vn, v1s, pv, d).reshape(len(v1s), n_v) < r2
         for t1 in t1s:
             lo = int(np.searchsorted(tn, t1 - r2, side="right"))
             hi = int(np.searchsorted(tn, t1, side="left"))
             if lo >= hi:
                 continue
-            window = range(lo, hi)
-            for v1, vl in v_masks:
+            lag = (tn[lo:hi] - t1)[:, None]
+            for v1, vmask in zip(v1s, v_in):
+                vl = np.flatnonzero(vmask)
                 if len(vl) == 0:
                     continue
-                for xt in itertools.product(x_idx, repeat=spec.d):
-                    x1 = xn[list(xt)]
-                    x_lists = []
-                    for j in window:
-                        shift = x1 - (tn[j] - t1) * v1
-                        d2 = _axis_dist2(xn, shift, px, spec.d)
-                        x_lists.append(np.flatnonzero(d2.ravel() < R2))
-                    count = sum(len(xl) for xl in x_lists) * len(vl)
-                    if count == 0:
-                        continue
-                    if mode == "count":
-                        for j, xl in zip(window, x_lists):
-                            if len(xl):
-                                out[s_idx][np.ix_([j], xl, vl)] += 1
-                        continue
-                    src = absvals if mode == "maximal" else vals
-                    parts = [src[:, j][:, xl][:, :, vl].reshape(m, -1)
-                             for j, xl in zip(window, x_lists) if len(xl)]
-                    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-                    if mode == "maximal":
-                        cand = np.sum(block, axis=1) / count
-                    else:
-                        mean = np.sum(block, axis=1) / count
-                        cand = np.sum(np.abs(block - mean[:, None]), axis=1) / count
-                    for j, xl in zip(window, x_lists):
-                        if len(xl):
-                            ix = np.ix_(rows, [j], xl, vl)
-                            out[ix] = np.maximum(out[ix], cand[:, None, None, None])
+                # x-membership of every x-center on every window slice
+                shift = x1s[:, None, :] - lag * v1
+                x_in = _axis_dist2(xn, shift, px, d).reshape(len(x1s), hi - lo, n_x) < R2
+                if mode == "count":
+                    out[s_idx, lo:hi][..., vl] += np.sum(x_in, axis=0)[..., None]
+                    continue
+                n_in = np.sum(x_in, axis=(1, 2))
+                cand = np.zeros((m, len(x1s)))
+                for n_mem in np.unique(n_in[n_in > 0]):
+                    count = int(n_mem) * len(vl)
+                    group = np.flatnonzero(n_in == n_mem)
+                    # chunks keep each gathered block within the size of src
+                    step = max(1, src.shape[1] // count)
+                    for part in np.split(group, range(step, len(group), step)):
+                        _, w, xi = np.nonzero(x_in[part])
+                        rows = ((lo + w) * n_x + xi) * n_v
+                        idx = (rows.reshape(len(part), -1, 1) + vl).reshape(len(part), -1)
+                        block = np.ascontiguousarray(src[:, idx])
+                        avg = np.sum(block, axis=-1) / count
+                        if mode == "sharp":
+                            avg = np.sum(np.abs(block - avg[..., None]), axis=-1) / count
+                        cand[:, part] = avg
+                best = np.max(np.where(x_in, cand[:, :, None, None], 0.0), axis=1)
+                sl = out[:, lo:hi]
+                sl[..., vl] = np.maximum(sl[..., vl], best[..., None])
     if mode == "count":
         return out.reshape((len(fam.radii),) + spec.shape)
     return out.reshape((fields.shape[0],) + spec.shape)

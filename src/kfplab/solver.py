@@ -400,7 +400,7 @@ def _matrix_at(a: CoefficientField, s: float) -> np.ndarray:
 
 
 def _exponent_pieces(a: CoefficientField, t_out, ks, xis, tau_max):
-    """Quadratic data of E(tau) per coefficient piece, in the tau variable."""
+    """Per coefficient piece in tau: its range, quadratics and start cubic."""
     edges = [0.0]
     if a.kind == "time_piecewise":
         edges += sorted(t_out - b for b in a.breakpoints if 0.0 < t_out - b < tau_max)
@@ -408,16 +408,16 @@ def _exponent_pieces(a: CoefficientField, t_out, ks, xis, tau_max):
     pieces = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         A = _matrix_at(a, t_out - 0.5 * (lo + hi))
-        pieces.append((lo, hi, _quadratics(A, ks, xis)))
+        q = _quadratics(A, ks, xis)
+        pieces.append((lo, hi, q, _cubic(*q, lo)))
     return pieces
 
 
 def _lattice_exponent(pieces, taus_r):
     """E(tau) on the lattice; taus_r has shape (g, 1, ..., 1)."""
     E = 0.0
-    for lo, hi, (qkk, qkv, qvv) in pieces:
-        s = np.clip(taus_r, lo, hi)
-        E = E + _cubic(qkk, qkv, qvv, s) - _cubic(qkk, qkv, qvv, lo)
+    for lo, hi, q, start in pieces:
+        E = E + _cubic(*q, np.clip(taus_r, lo, hi)) - start
     return E
 
 

@@ -9,6 +9,20 @@ lower bound for the true supremum.  kinetic_ap_functional estimates the same
 quantity for |x|^alpha over a symmetrized quasi-distance ball intersected
 with {t <= T} by Monte Carlo, the object that controls maximal-function
 bounds in the kinetic setting.
+
+The sampler draws uniformly from a tight box around that ball and
+rejects the draws outside it.  With P = rho_c(z, z0), Q = rho_c(z0, z) and
+P + Q < r:
+
+    |t - t0| < r^2/4 and |v - v0| < r/2, since P and Q both dominate
+        |t - t0|^{1/2} and |v - v0|;
+    |x - x0 + (t - t0)v0| <= |x - x0 + (t - t0)v| + |t - t0||v - v0|
+        <= (c^3 + 1) Q^3, so by subadditivity of the cube root
+        a = c^{-1}|x - x0 + (t - t0)v0|^{1/3} <= (1 + 1/c) Q, and a <= P;
+    min(P, (1 + 1/c) Q) < r (c + 1)/(2c + 1) when P + Q < r, so
+        |x - x0 + (t - t0)v0| < (c r (c + 1)/(2c + 1))^3.
+
+Rejection from any box containing the ball is exact.
 """
 
 from __future__ import annotations
@@ -263,6 +277,12 @@ def ap_constant_1d(w: Weight1D, p: float, family: IntervalFamily | None = None) 
     return best
 
 
+def _box_radii(r: float, c: float) -> tuple[float, float, float]:
+    """Half-widths in t, the slanted x and v of the sampling box around
+    {rho_hat_c(., z0) < r}; the module docstring proves the bounds."""
+    return r * r / 4.0, (c * r * (c + 1.0) / (2.0 * c + 1.0)) ** 3, r / 2.0
+
+
 def kinetic_ap_functional(
     alpha: float,
     p: float,
@@ -294,8 +314,9 @@ def kinetic_ap_functional(
     params = QuasiMetricParams(c=c)
     dual = -alpha / (p - 1.0)
 
-    t_hi = min(z0.t + r ** 2, T)
-    t_lo = z0.t - r ** 2
+    t_rad, x_rad, v_rad = _box_radii(r, c)
+    t_hi = min(z0.t + t_rad, T)
+    t_lo = z0.t - t_rad
 
     vals1 = []
     vals2 = []
@@ -311,8 +332,8 @@ def kinetic_ap_functional(
             if d > 1:
                 ok = (np.linalg.norm(eta, axis=1) < 1) & (np.linalg.norm(wv, axis=1) < 1)
                 t, eta, wv = t[ok], eta[ok], wv[ok]
-            x = z0.x - (t - z0.t)[:, None] * z0.v + (c * r) ** 3 * eta
-            v = z0.v + r * wv
+            x = z0.x - (t - z0.t)[:, None] * z0.v + x_rad * eta
+            v = z0.v + v_rad * wv
             rho = symmetrized_distance_batch(t, x, v, z0.t, z0.x, z0.v, params)
             keep = rho < r
             if not np.any(keep):

@@ -8,6 +8,7 @@ import pytest
 from kfplab.grids import GridField, GridSpec
 from kfplab.maximal import (
     CylinderFamily,
+    _sweep,
     coverage_counts,
     fs_check,
     hl_check,
@@ -187,6 +188,18 @@ class TestFamilyValidation:
 CORPUS_SPEC = GridSpec(d=1, n_t=12, n_x=12, n_v=12, t_lo=0.0, t_hi=1.0,
                        L_x=2.0, L_v=2.0)
 L2 = MixedNormSpec.unmixed(2.0, d=1)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    @pytest.mark.parametrize("mode", ["maximal", "sharp"])
+    def test_stacked_sweep_equals_single_field_sweeps(self, mode, c):
+        single = {"maximal": maximal, "sharp": sharp}[mode]
+        corpus = make_corpus(CORPUS_SPEC, 4, rng=np.random.default_rng(100))
+        fam = CylinderFamily.for_grid(CORPUS_SPEC, c=c)
+        stacked = _sweep(np.stack([f.values for f in corpus]), CORPUS_SPEC, fam, mode)
+        for f, got in zip(corpus, stacked):
+            assert np.array_equal(got, single(f, c=c, fam=fam).values)
 
 
 class TestHLCheck:

@@ -323,6 +323,13 @@ class TestSolveInvariants:
         u = solve_duhamel(_const_a(), 0.2, f, self._grid())
         assert np.all(u.values == 0.0)
 
+    def test_solution_owns_contiguous_real_values(self):
+        f = AnalyticSource((_pulse_term(0.4, 0.3, mx=0.5, mv=0.6),))
+        u = solve_duhamel(_const_a(), 0.2, f, self._grid())
+        assert u.values.flags["C_CONTIGUOUS"]
+        assert u.values.dtype == np.float64
+        assert u.values.base is None or not np.iscomplexobj(u.values.base)
+
     def test_linearity(self):
         spec = self._grid()
         a = _const_a(0.8)

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from kfplab.geometry import PhasePoint
+from kfplab.geometry import PhasePoint, QuasiMetricParams, symmetrized_distance_batch
 from kfplab.weights import (
     IntervalFamily,
     ProductWeight,
     Weight1D,
+    _box_radii,
     ap_constant_1d,
     kinetic_ap_functional,
     product_weight_eval,
@@ -179,6 +182,55 @@ class TestKineticApFunctional:
         v1, _ = kinetic_ap_functional(0.5, 2.0, 1.0, z0, T=1e9, n_samples=100_000,
                                       rng=np.random.default_rng(10))
         assert v0 == v1
+
+    @settings(deadline=None)
+    @given(d=st.integers(1, 2), c=st.floats(1.0, 3.0), r=st.floats(0.2, 2.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sampling_box_contains_the_ball(self, d, c, r, seed):
+        # every ball point found in the wide box |t - t0| < r^2,
+        # |v - v0| < r, |x - x0 + (t - t0) v0| < (c r)^3 lies in the tight box
+        rng = np.random.default_rng(seed)
+        t0, x0, v0 = rng.uniform(-3, 3), rng.uniform(-3, 3, d), rng.uniform(-2, 2, d)
+        m = 20_000
+        t = t0 + r * r * rng.uniform(-1.0, 1.0, m)
+        x = x0 - (t - t0)[:, None] * v0 + (c * r) ** 3 * rng.uniform(-1.0, 1.0, (m, d))
+        v = v0 + r * rng.uniform(-1.0, 1.0, (m, d))
+        inside = symmetrized_distance_batch(t, x, v, t0, x0, v0,
+                                            QuasiMetricParams(c=c)) < r
+        t_rad, x_rad, v_rad = _box_radii(r, c)
+        slant = x - x0 + (t - t0)[:, None] * v0
+        assert np.all(np.abs(t[inside] - t0) <= t_rad)
+        assert np.all(np.linalg.norm(v[inside] - v0, axis=1) <= v_rad)
+        assert np.all(np.linalg.norm(slant[inside], axis=1) <= x_rad)
+
+    @pytest.mark.parametrize("alpha,r,c,T,z0", [
+        (0.5, 1.0, 1.0, math.inf, PhasePoint(0.0, np.array([0.4]), np.array([0.8]))),
+        (-0.5, 0.6, 2.5, 0.05, PhasePoint(0.0, np.array([-0.2]), np.array([-1.0]))),
+        (0.5, 0.8, 1.5, math.inf, PhasePoint(1.0, np.array([0.3, -0.5]), np.array([0.5, 0.2]))),
+    ])
+    def test_agrees_with_wide_box_rejection(self, alpha, r, c, T, z0):
+        # independent reference: rejection from the wide box of the test above
+        rng = np.random.default_rng(12)
+        d, p, n_batches, n = z0.d, 2.0, 20, 10_000
+        ax = np.empty(0)
+        while len(ax) < n:
+            m = 500_000
+            t = z0.t + r * r * rng.uniform(-1.0, 1.0, m)
+            x = (z0.x - (t - z0.t)[:, None] * z0.v
+                 + (c * r) ** 3 * rng.uniform(-1.0, 1.0, (m, d)))
+            v = z0.v + r * rng.uniform(-1.0, 1.0, (m, d))
+            keep = (symmetrized_distance_batch(t, x, v, z0.t, z0.x, z0.v,
+                                               QuasiMetricParams(c=c)) < r) & (t <= T)
+            ax = np.concatenate([ax, np.linalg.norm(x[keep], axis=1)])
+        ax = ax[:n].reshape(n_batches, -1)
+        m1 = np.mean(ax ** alpha, axis=1)
+        m2 = np.mean(ax ** (-alpha / (p - 1.0)), axis=1)
+        ref = float(np.mean(m1) * np.mean(m2) ** (p - 1.0))
+        ref_se = float(np.std(m1 * m2 ** (p - 1.0), ddof=1) / math.sqrt(n_batches))
+        val, se = kinetic_ap_functional(alpha, p, r, z0, c=c, T=T,
+                                        n_samples=100_000,
+                                        rng=np.random.default_rng(13))
+        assert abs(val - ref) <= 5.0 * math.hypot(se, ref_se)
 
     def test_alpha_out_of_range_raises(self):
         z0 = PhasePoint(0.0, np.array([1.0]), np.array([0.0]))

@@ -11,13 +11,16 @@ xi -> xi - tau k, whose solution is the explicit integral
     E(tau)       = int_0^tau (xi - s k) . A(t - s) (xi - s k) ds.
 
 E is piecewise cubic in tau between the coefficient breakpoints, so it is
-accumulated in closed form.  One driver, _history, does the remaining
-integral for every source kind and returns it at every output time as one
-(time, lattice) stack: Gauss-Legendre panels graded geometrically away from
+accumulated in closed form, one cubic per node on top of E at the start of
+its piece.  One driver, _history, does the remaining integral for every
+source kind and returns it at every output time as one (time, lattice)
+stack: the nodes of Gauss-Legendre panels graded geometrically away from
 tau = 0 (where the kernel varies fastest) and split at source and
-coefficient edges, the kernel cut to zero where its exponent passes
-SolveConfig.exponent_cut, and a contraction over the panel nodes.  A source
-kind supplies only its weights and its shifted transform at the nodes:
+coefficient edges, contracted in blocks of at most _BLOCK lattice elements,
+the kernel cut to zero where its exponent passes SolveConfig.exponent_cut,
+and a stop at the first block wholly past the cut, since the exponent never
+decreases along tau.  A source kind supplies only its weights and its
+shifted transform at the nodes:
 
 - gaussian terms have spatial transforms known in closed form at any
   frequency; the continuum transform of a rapidly decaying profile becomes
@@ -63,6 +66,7 @@ from .grids import (GridField, GridSpec, fft_integers, node_phase, on_axis,
 from .norms import second_derivatives, spectral_derivative, transport_derivative
 
 _PULSE_CUT = 12.0  # pulse support is truncated at this many widths
+_BLOCK = 1 << 15   # lattice elements per contraction block of _history
 
 
 @lru_cache(maxsize=None)
@@ -250,11 +254,17 @@ def _gausscos_envelope(k, sigma, m, phi):
     G(k + m))] with the real Gaussians G(u) = exp(-sigma^2 u^2 / 2)."""
     k = np.asarray(k, dtype=float)
     amp = sigma * math.sqrt(2.0 * math.pi) * 0.5
-    g_lo = np.exp(-0.5 * sigma ** 2 * (k - m) ** 2)
-    g_hi = np.exp(-0.5 * sigma ** 2 * (k + m) ** 2)
+    g_lo = np.subtract(k, m, out=np.empty(k.shape))
+    g_hi = np.add(k, m, out=np.empty(k.shape))
+    for g in (g_lo, g_hi):
+        np.square(g, out=g)
+        g *= -0.5 * sigma ** 2
+        np.exp(g, out=g)
     out = np.empty(k.shape, dtype=complex)
-    out.real = amp * math.cos(phi) * (g_lo + g_hi)
-    out.imag = amp * math.sin(phi) * (g_lo - g_hi)
+    np.add(g_lo, g_hi, out=out.real)
+    out.real *= amp * math.cos(phi)
+    np.subtract(g_lo, g_hi, out=out.imag)
+    out.imag *= amp * math.sin(phi)
     return out
 
 
@@ -291,25 +301,16 @@ class SolveConfig:
             raise ValueError("h0 must lie in (0, h_max]")
 
 
-def _ladder_points(tau_lo, tau_hi, h0, h_max, growth):
-    pts = []
-    tau, h = 0.0, h0
-    while True:
-        tau = tau + h
-        if tau >= tau_hi:
-            break
-        if tau > tau_lo:
-            pts.append(tau)
-        h = min(max(h0, (growth - 1.0) * tau), h_max)
-    return pts
-
-
 def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=()):
     """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0,
     split at the given edges and uniformly refined over each (lo, hi, step)
     span.  Returns consecutive (a, b) pairs."""
     pts = {tau_lo, tau_hi}
-    pts.update(_ladder_points(tau_lo, tau_hi, h0, h_max, growth))
+    tau, h = 0.0, h0
+    while (tau := tau + h) < tau_hi:
+        if tau > tau_lo:
+            pts.add(tau)
+        h = min(max(h0, (growth - 1.0) * tau), h_max)
     for e in edges:
         if tau_lo < e < tau_hi:
             pts.add(e)
@@ -390,34 +391,41 @@ def _quadratics(A, ks, xis):
     return qkk, qkv, qvv
 
 
-def _cubic(qkk, qkv, qvv, tau):
-    return qvv * tau - qkv * tau ** 2 + qkk * (tau ** 3) / 3.0
-
-
-def _matrix_at(a: CoefficientField, s: float) -> np.ndarray:
-    z = np.zeros((1, a.d))
-    return np.asarray(a.eval(np.array([s]), z, z))[0]
+def _cubic(qkk, qkv, qvv, tau, out=None):
+    E = np.multiply(qkv, tau ** 2, out=out)
+    np.subtract(qvv * tau, E, out=E)
+    E += qkk * (tau ** 3) / 3.0
+    return E
 
 
 def _exponent_pieces(a: CoefficientField, t_out, ks, xis, tau_max):
-    """Per coefficient piece in tau: its range, quadratics and start cubic."""
+    """Per coefficient piece in tau: its range, its quadratics, its start
+    cubic, and E at its start, the increments of the pieces before it."""
     edges = [0.0]
     if a.kind == "time_piecewise":
         edges += sorted(t_out - b for b in a.breakpoints if 0.0 < t_out - b < tau_max)
     edges.append(max(tau_max, edges[-1] + 1e-9))
-    pieces = []
+    pieces, done, z = [], 0.0, np.zeros((1, a.d))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        A = _matrix_at(a, t_out - 0.5 * (lo + hi))
+        A = np.asarray(a.eval(np.array([t_out - 0.5 * (lo + hi)]), z, z))[0]
         q = _quadratics(A, ks, xis)
-        pieces.append((lo, hi, q, _cubic(*q, lo)))
+        start = _cubic(*q, lo)
+        pieces.append((lo, hi, q, start, done))
+        done = done + _cubic(*q, hi) - start
     return pieces
 
 
 def _lattice_exponent(pieces, taus_r):
-    """E(tau) on the lattice; taus_r has shape (g, 1, ..., 1)."""
-    E = 0.0
-    for lo, hi, q, start in pieces:
-        E = E + _cubic(*q, np.clip(taus_r, lo, hi)) - start
+    """E(tau) on the lattice at ascending nodes taus_r, shape (g, 1, ..., 1).
+    Panels never straddle a piece edge, so each node evaluates the cubic of
+    its own piece alone, on top of E at the start of that piece."""
+    E = np.empty(taus_r.shape[:1] + pieces[0][3].shape)
+    cuts = np.searchsorted(taus_r.ravel(), [p[0] for p in pieces[1:]]).tolist()
+    for (_, _, q, start, done), i, j in zip(pieces, [0] + cuts,
+                                            cuts + [len(taus_r)]):
+        part = _cubic(*q, taus_r[i:j], out=E[i:j])
+        part += done
+        part -= start
     return E
 
 
@@ -431,14 +439,19 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     its transform at (k, xi - tau k), broadcastable to (len(taus),) +
     lattice.  Panels are split at the coefficient breakpoints and at the
     knots (absolute times where the source has a kink), and refined to
-    fine_step over the window.  The kernel exp(-lam tau - E(tau)) is cut to
-    zero where its exponent passes cfg.exponent_cut.
+    fine_step over the window.  The nodes of one output time are contracted
+    in ascending blocks of at most max(1, _BLOCK // lattice size), so source
+    sees no more per call.  The kernel exp(-lam tau - E(tau)), formed in
+    place, is cut to zero where its exponent passes cfg.exponent_cut.  As
+    E'(tau) = (xi - tau k).A(xi - tau k) >= 0 and lam >= 0, the exponent never
+    decreases, so the loop stops with no loss at the first block past the cut.
     """
     h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
                                                        cfg.h_max)
     gl_x, gl_w = _leggauss(cfg.quad_order)
     lo, hi = window
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
+    block = max(1, _BLOCK // math.prod(lattice))
     out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
     for acc, t_out in zip(out, t_nodes):
         tau_hi = t_out - lo
@@ -448,18 +461,23 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
         pieces = _exponent_pieces(a, t_out, ks, xis, tau_hi)
         edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
         fine = [(t_out - hi, t_out - lo, fine_step)] if fine_step is not None else []
-        for p_lo, p_hi in _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth,
-                                  edges, fine):
-            taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
-            wts = 0.5 * (p_hi - p_lo) * gl_w
-            taus_r = taus.reshape((-1,) + (1,) * len(lattice))
-            X = lam * taus_r + _lattice_exponent(pieces, taus_r)
-            K = np.where(X <= cfg.exponent_cut,
-                         np.exp(-np.minimum(X, cfg.exponent_cut)), 0.0)
-            if not K.any():
-                continue
-            weights, shifted = source(t_out, taus)
-            acc += np.tensordot(wts * weights, K * shifted, axes=(0, 0))
+        panels = _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth, edges, fine)
+        p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
+        taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
+        wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
+        taus_r = taus.reshape((-1,) + (1,) * len(lattice))
+        for b in range(0, len(taus), block):
+            X = _lattice_exponent(pieces, taus_r[b:b + block])
+            X += lam * taus_r[b:b + block]
+            past = X > cfg.exponent_cut
+            if past.all():
+                break
+            K = np.exp(np.negative(X, out=X), out=X)
+            np.copyto(K, 0.0, where=past)
+            weights, shifted = source(t_out, taus[b:b + block])
+            acc += np.tensordot(wts[b:b + block] * weights, K * shifted,
+                                axes=(0, 0))
+            del X, K, shifted  # free the block before the next source call
     return out
 
 
@@ -490,9 +508,10 @@ def _v_hat_shifted(fac: SpaceFactor, ks, xis, taus):
     for i in range(d):
         tk = taus_r * on_axis(ks[i], i, 2 * d)[None]
         xi = on_axis(xis[i], d + i, 2 * d)[None]
-        factors.append(np.exp(1j * fac.v_center[i] * tk)
-                       * _gausscos_envelope(xi - tk, fac.v_sigma, fac.v_freq[i],
-                                            fac.v_phase[i]))
+        env = _gausscos_envelope(xi - tk, fac.v_sigma, fac.v_freq[i],
+                                 fac.v_phase[i])
+        env *= np.exp(1j * fac.v_center[i] * tk)
+        factors.append(env)
     return reduce(np.multiply, factors)
 
 
@@ -586,7 +605,9 @@ def _check_sampled(g: GridField, spec: GridSpec, cfg: SolveConfig) -> None:
 def _sampled_transform(g: GridField, k, xi):
     """Source callback of a sampled field on the lattice (k, xi): the exact
     position transform of each slice, interpolated linearly in time, then
-    the rectangle-rule velocity transform at xi - tau k."""
+    the rectangle-rule velocity transform at xi - tau k, whose modulation
+    e^{i tau k v_j} = e^{i tau k v_0} (e^{i tau k dv})^j on the uniform v
+    nodes is a running product along v."""
     s = g.spec
     v = s.v_nodes
     Fx = s.dx * node_phase(s.n_x)[None, :, None] * np.fft.fft(g.values, axis=1)
@@ -601,8 +622,12 @@ def _sampled_transform(g: GridField, k, xi):
         w_hi = np.clip((tp - left) / (s.t_nodes[pos + 1] - left), 0.0, 1.0)
         F = ((1.0 - w_hi)[:, None, None] * Fx[pos]
              + w_hi[:, None, None] * Fx[pos + 1])
-        mod = np.exp(1j * taus[:, None, None] * k[None, :, None] * v[None, None, :])
-        return 1.0, (F * mod) @ Mv
+        tk = np.outer(taus, k)
+        mod = np.empty(F.shape, dtype=complex)
+        mod[..., 0] = np.exp(1j * tk * v[0])
+        mod[..., 1:] = np.exp(1j * tk * s.dv)[..., None]
+        F *= np.cumprod(mod, axis=-1, out=mod)
+        return 1.0, F @ Mv
 
     return slices
 
@@ -744,24 +769,14 @@ def scaling_conjugation_check(u: GridField, a: CoefficientField,
     # Yu itself carries the literal velocity factor, which is a sawtooth on
     # the velocity torus and cannot be trig-interpolated off lattice.  Push
     # the band-limited pieces d_t u and D_x u through the map separately and
-    # reattach the velocity analytically at the target points.
+    # reattach the velocity analytically at the target points.  The
+    # resampling above has already required dimension 1.
     spec = u.spec
-    d = spec.d
-    nd = 1 + 2 * d
-    v_dx_u = np.zeros_like(u.values)
-    for i in range(d):
-        v_dx_u += on_axis(spec.v_nodes, 1 + d + i, nd) * spectral_derivative(
-            u.values, axis=1 + i, half_length=spec.L_x)
-    dt_u = transport_derivative(u).values + v_dx_u
+    dx_u = spectral_derivative(u.values, axis=1, half_length=spec.L_x)
+    dt_u = transport_derivative(u).values + on_axis(spec.v_nodes, 2, 3) * dx_u
     rs_dt = _conjugate_resample(GridField(spec, dt_u), z0, r).values
-    rs_vdx = np.zeros(u_s.values.shape)
-    for i in range(d):
-        rs_dxi = _conjugate_resample(
-            GridField(spec, spectral_derivative(u.values, axis=1 + i,
-                                                half_length=spec.L_x)),
-            z0, r).values
-        v_i = on_axis(r * u_s.spec.v_nodes + z0.v[i], 1 + d + i, nd)
-        rs_vdx += v_i * rs_dxi
+    rs_vdx = (on_axis(r * u_s.spec.v_nodes + z0.v[0], 2, 3)
+              * _conjugate_resample(GridField(spec, dx_u), z0, r).values)
     rs_hess = _conjugate_resample(GridField(spec, hess), z0, r).values
 
     lhs_y = transport_derivative(u_s).values

@@ -186,37 +186,28 @@ def _power_cell_average(center: float, expo: float, a: float, b: float) -> float
         return 1.0
 
     def prim(u):
+        if expo == -1.0:
+            return math.copysign(1.0, u) * math.log(abs(u))
         return math.copysign(abs(u) ** (expo + 1.0), u) / (expo + 1.0)
 
     return (prim(hi) - prim(lo)) / (b - a)
 
 
 def _midpoint_average(eval_fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      patch_fn: Callable[[float, float], float] | None = None,
                       rtol: float = 1e-4, n0: int = 16, max_refines: int = 14) -> float:
     """Composite midpoint average of eval_fn over [a, b], refining dyadically
     until successive estimates change by < rtol.  Divergence is declared when
-    an estimate grows by more than 10x per refinement.  If the cap is reached
-    without meeting rtol (integrable singularities converge like a fractional
-    power of h) the last estimate is returned; it is a lower bound for
-    monotone-from-below integrands, which is the contract of the scan.
-    Non-finite nodes (a singularity landing exactly on a midpoint) are
-    replaced by patch_fn(cell_lo, cell_hi) when available.
+    an estimate grows by more than 10x per refinement, or when a node value
+    is not finite.  If the cap is reached without meeting rtol the last
+    estimate is returned.
     """
     prev = None
     n = n0
     for _ in range(max_refines + 1):
         xs = a + (np.arange(n) + 0.5) * (b - a) / n
         vals = np.asarray(eval_fn(xs), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if patch_fn is None:
-                raise _QuadratureBlowup
-            h_cell = (b - a) / n
-            for i in np.nonzero(bad)[0]:
-                vals[i] = patch_fn(xs[i] - 0.5 * h_cell, xs[i] + 0.5 * h_cell)
-            if not np.all(np.isfinite(vals)):
-                raise _QuadratureBlowup
+        if not np.all(np.isfinite(vals)):
+            raise _QuadratureBlowup
         est = float(np.mean(vals))
         if not np.isfinite(est):
             raise _QuadratureBlowup
@@ -232,17 +223,9 @@ def _midpoint_average(eval_fn: Callable[[np.ndarray], np.ndarray], a: float, b: 
 
 def _weight_power_average(w: Weight1D, s: float, a: float, b: float) -> float:
     """Average of w(x)^s over [a, b].  For power weights w^s is again a power
-    weight, so singular cells are patched with its closed-form average."""
+    weight, whose average is closed-form (+inf where it is not integrable)."""
     if w.kind == "power":
-        expo = w.alpha * s
-        if expo <= -1.0 and a <= w.center <= b:
-            return math.inf
-        return _midpoint_average(
-            lambda xs: np.abs(xs - w.center) ** expo,
-            a,
-            b,
-            patch_fn=lambda lo, hi: _power_cell_average(w.center, expo, lo, hi),
-        )
+        return _power_cell_average(w.center, w.alpha * s, a, b)
     return _midpoint_average(lambda xs: w.eval(xs) ** s, a, b)
 
 

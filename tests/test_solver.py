@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, interpolate
 
 from kfplab import solver
 from kfplab.coefficients import CoefficientField, LowerOrderTerms
@@ -257,6 +257,171 @@ class TestHalfLattice:
         want = _full_lattice_solve(a, 0.2, g, out, cfg)
         got = solve_duhamel(a, 0.2, g, out, cfg).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
+                       fine_step=None, knots=()):
+    """Reference history quadrature: one panel at a time, every coefficient
+    piece summed at every node through clipped cubics, and no early exit."""
+    h0 = cfg.h0 if cfg.h0 is not None else solver._default_h0(
+        a.delta, lam, ks, xis, cfg.h_max)
+    gl_x, gl_w = solver._leggauss(cfg.quad_order)
+    lo, hi = window
+    lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
+    out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
+    for acc, t_out in zip(out, t_nodes):
+        if t_out - lo <= 0:
+            continue
+        pieces = solver._exponent_pieces(a, t_out, ks, xis, t_out - lo)
+        edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
+        fine = ([(t_out - hi, t_out - lo, fine_step)]
+                if fine_step is not None else [])
+        for p_lo, p_hi in solver._panels(max(0.0, t_out - hi), t_out - lo, h0,
+                                         cfg.h_max, cfg.growth, edges, fine):
+            taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
+            taus_r = taus.reshape((-1,) + (1,) * len(lattice))
+            X = lam * taus_r + _all_pieces_exponent(pieces, taus_r)
+            K = np.where(X <= cfg.exponent_cut, np.exp(-X), 0.0)
+            weights, shifted = source(t_out, taus)
+            acc += np.tensordot(0.5 * (p_hi - p_lo) * gl_w * weights,
+                                K * shifted, axes=(0, 0))
+    return out
+
+
+def _all_pieces_exponent(pieces, taus_r):
+    """E(tau) as the sum over every coefficient piece of its cubic increment
+    up to tau clipped into the piece."""
+    E = 0.0
+    for lo, hi, q, start, _ in pieces:
+        E = E + solver._cubic(*q, np.clip(taus_r, lo, hi)) - start
+    return E
+
+
+def _exponent_magnitude(pieces, taus_r):
+    """The sum of _all_pieces_exponent with every term by its absolute
+    value: the scale of the rounding error of either way of forming E."""
+    size = 0.0
+    for lo, hi, (qkk, qkv, qvv), start, _ in pieces:
+        s = np.clip(taus_r, lo, hi)
+        size = (size + np.abs(qvv) * s + np.abs(qkv) * s ** 2
+                + np.abs(qkk) * s ** 3 / 3.0 + np.abs(start))
+    return size
+
+
+def _random_spd(rng, d, delta):
+    """A symmetric matrix with eigenvalues drawn from [delta, 1/delta]."""
+    eig = delta ** rng.uniform(-1.0, 1.0, d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    m = (q * eig) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestBlockedQuadrature:
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+           delta=st.floats(0.02, 1.0, exclude_max=True),
+           lam=st.floats(0.0, 20.0),
+           n_breaks=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_never_decreases_along_the_nodes(self, seed, d, delta,
+                                                      lam, n_breaks):
+        # the invariant behind the early exit: E' = (xi - tau k).A(xi - tau k)
+        # >= 0, so lam tau + E(tau) is monotone along ascending nodes
+        rng = np.random.default_rng(seed)
+        t_out = 1.5
+        breaks = tuple(np.sort(rng.uniform(-0.5, t_out, n_breaks)))
+        mats = tuple(_random_spd(rng, d, delta) for _ in range(n_breaks + 1))
+        a = (CoefficientField(kind="time_piecewise", d=d, delta=delta,
+                              breakpoints=breaks, matrices=mats)
+             if n_breaks else
+             CoefficientField(kind="constant_spd", d=d, delta=delta,
+                              matrix=mats[0]))
+        spec = GridSpec(d=d, n_t=2, n_x=6, n_v=7, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        ks, xis = solver._half_lattice(spec)
+        tau_max = 2.0
+        pieces = solver._exponent_pieces(a, t_out, ks, xis, tau_max)
+        edges = [p[0] for p in pieces[1:]]
+        taus = np.sort(np.concatenate([
+            np.linspace(0.0, tau_max, 97)[1:], rng.uniform(0.0, tau_max, 40),
+            [e * (1.0 + s) for e in edges for s in (-1e-9, 1e-9)]]))
+        taus_r = taus.reshape((-1,) + (1,) * (2 * d))
+        # tolerances are relative to the size of the summands, since E can
+        # be far smaller than its cubic terms where they cancel
+        E = solver._lattice_exponent(pieces, taus_r)
+        size = _exponent_magnitude(pieces, taus_r)
+        ref = _all_pieces_exponent(pieces, taus_r)
+        assert np.all(np.abs(E - ref) <= 1e-14 * size)
+        X = lam * taus_r + E
+        assert np.all(np.diff(X, axis=0) >= -1e-12 * (lam * taus_r + size)[1:])
+
+    @pytest.mark.parametrize("block", ["node", "panel", "default"])
+    @pytest.mark.parametrize("case", ["d1_constant", "d1_piecewise",
+                                      "d2_constant", "d2_piecewise",
+                                      "sampled_constant", "sampled_piecewise"])
+    def test_blocks_match_the_per_panel_loop(self, monkeypatch, case, block):
+        d = 2 if case.startswith("d2") else 1
+        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
+             if case.endswith("piecewise") else
+             CoefficientField(kind="constant_spd", d=d, delta=0.3,
+                              matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
+        cfg = SolveConfig()
+        if case.startswith("sampled"):
+            # a large lam takes the zero mode past the cut as well, so
+            # the loop stops early on the whole lattice
+            spec = GridSpec(d=1, n_t=5, n_x=8, n_v=7, t_lo=0.0, t_hi=1.2,
+                            L_x=3.0, L_v=2.5)
+            f = AnalyticSource((_pulse_term(0.4, 0.3, sx=0.6, mx=0.7, px=2.1,
+                                            sv=0.5, mv=0.9, pv=1.3, cx=0.3,
+                                            cv=-0.4),)).sample(GridSpec(
+                d=1, n_t=41, n_x=8, n_v=7, t_lo=-1.0, t_hi=1.2, L_x=3.0,
+                L_v=2.5))
+            lam, cfg = 25.0, SolveConfig(grid_source_interpolation=True)
+        else:
+            spec = GridSpec(d=d, n_t=4, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
+                            L_x=3.0, L_v=2.5)
+            step = math.pi / spec.L_v
+            f = AnalyticSource((
+                SourceTerm(
+                    TimeProfile(kind="pulse", center=0.4, width=0.3,
+                                poly=(1.0, 0.3)),
+                    SpaceFactor(kind="gaussian", amplitude=1.2,
+                                x_center=(0.3, -0.5)[:d], x_sigma=0.6,
+                                x_freq=(0.7, 0.2)[:d], x_phase=(2.1, 0.4)[:d],
+                                v_center=(-0.4, 0.6)[:d], v_sigma=0.5,
+                                v_freq=(0.9, 0.3)[:d], v_phase=(1.3, 5.0)[:d])),
+                SourceTerm(TimeProfile(kind="boxcar", start=-20.0, stop=0.7),
+                           SpaceFactor(kind="v_mode", amplitude=0.7,
+                                       mode_freq=(2 * step, step)[:d],
+                                       mode_phase=0.3))))
+            lam = 0.4
+        history = solver._history
+        monkeypatch.setattr(solver, "_history", _per_panel_history)
+        want = solve_duhamel(a, lam, f, spec, cfg).values
+        seen = []
+
+        def recorded(a, lam, cfg, t_nodes, ks, xis, window, source, *args,
+                     **kw):
+            size = math.prod(len(k) for k in ks + xis)
+            cap = max(1, solver._BLOCK // size)
+
+            def counted(t_out, taus):
+                seen.append((len(taus), cap))
+                return source(t_out, taus)
+
+            return history(a, lam, cfg, t_nodes, ks, xis, window, counted,
+                           *args, **kw)
+
+        monkeypatch.setattr(solver, "_history", recorded)
+        half = solver._half_lattice(spec)
+        size = math.prod(len(k) for k in half[0] + half[1])
+        if block != "default":
+            monkeypatch.setattr(solver, "_BLOCK",
+                                1 if block == "node" else cfg.quad_order * size)
+        got = solve_duhamel(a, lam, f, spec, cfg).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert seen and all(n <= cap for n, cap in seen)
+        if block == "node":
+            assert {n for n, _ in seen} == {1}
 
 
 class TestAnchors:
@@ -804,6 +969,21 @@ class TestSampledSourcePath:
                               SolveConfig(grid_source_interpolation=True))
         scale = np.max(np.abs(u_ref.values))
         assert np.max(np.abs(u_ref.values - u_grd.values)) < 5e-3 * scale
+
+    def test_callback_matches_direct_modulation(self):
+        # e^{i tau k v} is built as a running product along v; a direct
+        # rectangle-rule transform of the time-interpolated slices checks it
+        out, _, g = self._setup()
+        s = g.spec
+        k, xi = wavenumbers(s.n_x, s.L_x), wavenumbers(s.n_v, s.L_v)
+        t_out, taus = 1.1, np.linspace(0.03, 2.9, 11)
+        _, got = _sampled_transform(g, k, xi)(t_out, taus)
+        slices = interpolate.interp1d(s.t_nodes, g.values, axis=0)(t_out - taus)
+        ex = np.exp(-1j * np.outer(k, s.x_nodes))
+        ev = np.exp(-1j * (xi[None, None, :, None] - taus[:, None, None, None]
+                           * k[None, :, None, None]) * s.v_nodes)
+        want = s.dx * s.dv * np.einsum("kx,txv,tkqv->tkq", ex, slices, ev)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_axis_mismatch_raises(self):
         out, _, g = self._setup()

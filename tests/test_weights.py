@@ -121,6 +121,19 @@ class TestApConstant:
         with pytest.raises(ValueError):
             Weight1D(kind="tabulated", xs=(0.0, 1.0), values=(1.0, -2.0))
 
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("a,b", [(1.0, 2.5), (-3.0, -0.5), (-1.0, 2.0)])
+    def test_power_cell_average_matches_quadrature(self, alpha, a, b):
+        # the scan averages power weights in closed form, including the
+        # logarithmic primitive of |x|^-1 away from the center
+        w = power(alpha)
+        if alpha <= -1.0 and a < 0.0 < b:
+            assert w.cell_average(a, b) == math.inf
+            return
+        want = integrate.quad(lambda x: abs(x) ** alpha, a, b,
+                              points=[0.0] if a < 0.0 < b else None)[0] / (b - a)
+        assert w.cell_average(a, b) == pytest.approx(want, rel=1e-10)
+
     def test_p_must_exceed_one(self):
         with pytest.raises(ValueError):
             ap_constant_1d(power(0.5), 1.0, SMALL_FAMILY)

@@ -19,8 +19,14 @@ tau = 0 (where the kernel varies fastest) and split at source and
 coefficient edges, contracted in blocks of at most _BLOCK lattice elements,
 the kernel cut to zero where its exponent passes SolveConfig.exponent_cut,
 and a stop at the first block wholly past the cut, since the exponent never
-decreases along tau.  A source kind supplies only its weights and its
-shifted transform at the nodes:
+decreases along tau.  Where A is constant on the past (lo, t) of a source
+window (lo, hi), E'(tau) = (xi - tau k).A(xi - tau k) and the kernel do not
+depend on t, nor does a separable term's shifted transform, so those output
+times (with piecewise A, those before the first breakpoint past lo) share
+one node set, split at t - s for each member t and profile jump s, and one
+product with their weights.  A pulse's truncation points are no jumps: it
+is below e^{-72} of its peak there, the size of the truncation itself.  A
+source kind supplies its weights and its shifted transform at the nodes:
 
 - gaussian terms have spatial transforms known in closed form at any
   frequency; the continuum transform of a rapidly decaying profile becomes
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .coefficients import CoefficientField, LowerOrderTerms
 from .fractional import SpectralField
@@ -415,11 +422,11 @@ def _exponent_pieces(a: CoefficientField, t_out, ks, xis, tau_max):
     return pieces
 
 
-def _lattice_exponent(pieces, taus_r):
+def _lattice_exponent(pieces, taus_r, out=None):
     """E(tau) on the lattice at ascending nodes taus_r, shape (g, 1, ..., 1).
     Panels never straddle a piece edge, so each node evaluates the cubic of
     its own piece alone, on top of E at the start of that piece."""
-    E = np.empty(taus_r.shape[:1] + pieces[0][3].shape)
+    E = np.empty(taus_r.shape[:1] + pieces[0][3].shape) if out is None else out
     cuts = np.searchsorted(taus_r.ravel(), [p[0] for p in pieces[1:]]).tolist()
     for (_, _, q, start, done), i, j in zip(pieces, [0] + cuts,
                                             cuts + [len(taus_r)]):
@@ -429,22 +436,34 @@ def _lattice_exponent(pieces, taus_r):
     return E
 
 
+def _time_groups(a, t_nodes, lo, shared):
+    """The output times past lo as slices of t_nodes: one per time, but if
+    shared, the times before the first breakpoint past lo form one."""
+    live = int(np.searchsorted(t_nodes, lo, side="right"))
+    first = min((b for b in a.breakpoints if b > lo), default=math.inf)
+    split = int(np.searchsorted(t_nodes, first, side="right")) if shared else 0
+    bounds = [live] + list(range(max(live + 1, split), len(t_nodes) + 1))
+    return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
+
+
 def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
-             knots=()):
+             knots=(), shared=False):
     """The history integral of one source on the lattice (ks, xis) at every
     output time, shape (len(t_nodes),) + lattice, zero at the output times
     up to the start of the source window (lo, hi).
 
-    source(t_out, taus) returns the source's weights at the nodes taus and
-    its transform at (k, xi - tau k), broadcastable to (len(taus),) +
-    lattice.  Panels are split at the coefficient breakpoints and at the
-    knots (absolute times where the source has a kink), and refined to
-    fine_step over the window.  The nodes of one output time are contracted
-    in ascending blocks of at most max(1, _BLOCK // lattice size), so source
-    sees no more per call.  The kernel exp(-lam tau - E(tau)), formed in
-    place, is cut to zero where its exponent passes cfg.exponent_cut.  As
-    E'(tau) = (xi - tau k).A(xi - tau k) >= 0 and lam >= 0, the exponent never
-    decreases, so the loop stops with no loss at the first block past the cut.
+    source(ts, taus) returns its weights at the output times ts and nodes
+    taus, broadcastable to (len(ts), len(taus)), and its transform at
+    (k, xi - tau k), broadcastable to (len(taus),) + lattice.  Unless
+    shared, ts is one time; if shared, the transform must not depend on t,
+    and each _time_groups group takes one node set, refined to fine_step
+    over the span of its members' windows and split at the coefficient
+    breakpoints and at t - s for each member t and knot s (a time where the
+    source jumps or kinks).  Nodes are contracted in ascending blocks of at
+    most max(1, _BLOCK // lattice size) in reused buffers.  The kernel
+    exp(-lam tau - E(tau)) is cut to zero where its exponent passes
+    cfg.exponent_cut; as E' >= 0 and lam >= 0, the loop stops with no loss
+    at the first block wholly past the cut.
     """
     h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
                                                        cfg.h_max)
@@ -453,31 +472,34 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
     block = max(1, _BLOCK // math.prod(lattice))
     out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
-    for acc, t_out in zip(out, t_nodes):
-        tau_hi = t_out - lo
-        if tau_hi <= 0:
-            continue
-        tau_lo = max(0.0, t_out - hi)
-        pieces = _exponent_pieces(a, t_out, ks, xis, tau_hi)
-        edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
-        fine = [(t_out - hi, t_out - lo, fine_step)] if fine_step is not None else []
-        panels = _panels(tau_lo, tau_hi, h0, cfg.h_max, cfg.growth, edges, fine)
+    work_x = np.empty((block,) + lattice)
+    work_s = np.empty((block,) + lattice, dtype=complex)
+    for group in _time_groups(a, t_nodes, lo, shared):
+        ts = t_nodes[group]
+        pieces = _exponent_pieces(a, ts[-1], ks, xis, ts[-1] - lo)
+        edges = [p[0] for p in pieces[1:]] + [t - s for t in ts for s in knots]
+        fine = [(ts[0] - hi, ts[-1] - lo, fine_step)] if fine_step is not None else []
+        panels = _panels(max(0.0, ts[0] - hi), ts[-1] - lo, h0, cfg.h_max,
+                         cfg.growth, edges, fine)
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
         wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
         taus_r = taus.reshape((-1,) + (1,) * len(lattice))
+        rows = out[group].reshape(len(ts), -1).view(float)
         for b in range(0, len(taus), block):
-            X = _lattice_exponent(pieces, taus_r[b:b + block])
+            n = len(taus[b:b + block])
+            X = _lattice_exponent(pieces, taus_r[b:b + block], out=work_x[:n])
             X += lam * taus_r[b:b + block]
             past = X > cfg.exponent_cut
             if past.all():
                 break
             K = np.exp(np.negative(X, out=X), out=X)
             np.copyto(K, 0.0, where=past)
-            weights, shifted = source(t_out, taus[b:b + block])
-            acc += np.tensordot(wts[b:b + block] * weights, K * shifted,
-                                axes=(0, 0))
-            del X, K, shifted  # free the block before the next source call
+            weights, shifted = source(ts, taus[b:b + block])
+            S = np.multiply(K, shifted, out=work_s[:n]).reshape(n, -1)
+            W = np.broadcast_to(wts[b:b + block] * weights, (len(ts), n))
+            # rows += W @ S in place: the transposes are Fortran-ordered
+            dgemm(1.0, S.view(float).T, W.T, 1.0, rows.T, overwrite_c=True)
     return out
 
 
@@ -552,24 +574,27 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     modes = [term for term in terms if term.factor.kind == "v_mode"]
     for term in modes:
         _check_mode(term.factor, out_spec)
+
+    def term_history(prof, ks, xis, shifted):
+        jumps = prof.support() if prof.kind == "boxcar" else ()
+        return history(ks, xis, prof.support(),
+                       lambda ts, taus: (prof.value(np.subtract.outer(ts, taus)),
+                                         shifted(taus)),
+                       prof.fine_step(), jumps, shared=True)
+
     for term in terms:
         prof, fac = term.profile, term.factor
         if fac.kind == "gaussian":
-            h = history(ks, xis, prof.support(),
-                        lambda t_out, taus: (prof.value(t_out - taus),
-                                             _v_hat_shifted(fac, ks, xis, taus)),
-                        prof.fine_step())
+            h = term_history(prof, ks, xis, partial(_v_hat_shifted, fac, ks, xis))
             half += np.multiply(h, _x_hat(fac, ks, xis), out=h)
             del h  # free the stack before the next term's history
     half /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
     u = SpectralField(out_spec, _full_coefficients(out_spec, half)).to_grid()
     for term in modes:
         prof, fac = term.profile, term.factor
-        h = history([np.zeros(1)] * out_spec.d,
-                    [np.array([w], dtype=float) for w in fac.mode_freq],
-                    prof.support(),
-                    lambda t_out, taus: (prof.value(t_out - taus), 1.0),
-                    prof.fine_step())
+        h = term_history(prof, [np.zeros(1)] * out_spec.d,
+                         [np.array([w], dtype=float) for w in fac.mode_freq],
+                         lambda taus: 1.0)
         u.values[...] += fac.amplitude * h.real * _spatial_values(fac, out_spec)
     return u
 

@@ -260,9 +260,10 @@ class TestHalfLattice:
 
 
 def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
-                       fine_step=None, knots=()):
-    """Reference history quadrature: one panel at a time, every coefficient
-    piece summed at every node through clipped cubics, and no early exit."""
+                       fine_step=None, knots=(), shared=False):
+    """Reference history quadrature: one output time and one panel at a
+    time, whatever shared says, every coefficient piece summed at every node
+    through clipped cubics, and no early exit."""
     h0 = cfg.h0 if cfg.h0 is not None else solver._default_h0(
         a.delta, lam, ks, xis, cfg.h_max)
     gl_x, gl_w = solver._leggauss(cfg.quad_order)
@@ -357,15 +358,40 @@ class TestBlockedQuadrature:
     @pytest.mark.parametrize("block", ["node", "panel", "default"])
     @pytest.mark.parametrize("case", ["d1_constant", "d1_piecewise",
                                       "d2_constant", "d2_piecewise",
-                                      "sampled_constant", "sampled_piecewise"])
+                                      "sampled_constant", "sampled_piecewise",
+                                      "boxcar_constant", "boxcar_piecewise",
+                                      "boxcar_early_breaks"])
     def test_blocks_match_the_per_panel_loop(self, monkeypatch, case, block):
         d = 2 if case.startswith("d2") else 1
-        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
-             if case.endswith("piecewise") else
+        # early breaks lie below every source window, so each term's live
+        # output times all share one node set
+        breaks = (-0.4, 0.05) if case.endswith("early_breaks") else (0.35, 0.7)
+        # at delta = 0.1 the default first panel, whose h0 takes delta for
+        # the decay rate, resolves a boxcar history only to about 2e-13,
+        # which the member edges of a shared node set refine
+        delta = 0.3 if case.startswith("boxcar") else 0.1
+        a = (_piecewise_a(breaks, (1.0, 3.0, 0.5), d=d, delta=delta)
+             if case.endswith(("piecewise", "early_breaks")) else
              CoefficientField(kind="constant_spd", d=d, delta=0.3,
                               matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
         cfg = SolveConfig()
-        if case.startswith("sampled"):
+        if case.startswith("boxcar"):
+            # both ends of each boxcar fall between output times, so a
+            # shared node set must split at t - start and t - stop of
+            # every member t
+            spec = GridSpec(d=1, n_t=7, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
+                            L_x=3.0, L_v=2.5)
+            box = _pulse_term(0.0, 1.0, amp=1.2, sx=0.6, mx=0.7, px=2.1,
+                              sv=0.5, mv=0.9, pv=1.3, cx=0.3, cv=-0.4)
+            f = AnalyticSource((
+                SourceTerm(TimeProfile(kind="boxcar", start=0.1, stop=0.6),
+                           box.factor),
+                SourceTerm(TimeProfile(kind="boxcar", start=0.08, stop=0.75),
+                           SpaceFactor(kind="v_mode", amplitude=0.7,
+                                       mode_freq=(2 * math.pi / spec.L_v,),
+                                       mode_phase=0.3))))
+            lam = 0.4
+        elif case.startswith("sampled"):
             # a large lam takes the zero mode past the cut as well, so
             # the loop stops early on the whole lattice
             spec = GridSpec(d=1, n_t=5, n_x=8, n_v=7, t_lo=0.0, t_hi=1.2,
@@ -422,6 +448,45 @@ class TestBlockedQuadrature:
         assert seen and all(n <= cap for n, cap in seen)
         if block == "node":
             assert {n for n, _ in seen} == {1}
+
+    @pytest.mark.parametrize("case", ["constant", "piecewise", "sampled"])
+    def test_output_times_share_nodes_until_a_breakpoint(self, monkeypatch,
+                                                         case):
+        # the pulse's support starts at 0.36, after the breakpoint 0.35, so
+        # the live output times are t_nodes[3:]; the next breakpoint, 0.7,
+        # splits them into t_nodes[3:6] and one group per later time
+        spec = GridSpec(d=1, n_t=9, n_x=6, n_v=7, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        t = spec.t_nodes
+        pulse = AnalyticSource((_pulse_term(0.6, 0.02),))
+        cfg = SolveConfig()
+        if case == "sampled":
+            f = pulse.sample(GridSpec(d=1, n_t=41, n_x=6, n_v=7, t_lo=0.36,
+                                      t_hi=1.0, L_x=3.0, L_v=2.5))
+            cfg = SolveConfig(grid_source_interpolation=True)
+            want = {(ti,) for ti in t[3:]}
+        elif case == "piecewise":
+            f = pulse
+            want = {tuple(t[3:6])} | {(ti,) for ti in t[6:]}
+        else:
+            f = pulse
+            want = {tuple(t[3:])}
+        a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5))
+             if case == "piecewise" else _const_a())
+        history, seen = solver._history, set()
+
+        def recorded(a, lam, cfg, t_nodes, ks, xis, window, source, *args,
+                     **kw):
+            def counted(ts, taus):
+                seen.add(tuple(np.atleast_1d(ts)))
+                return source(ts, taus)
+
+            return history(a, lam, cfg, t_nodes, ks, xis, window, counted,
+                           *args, **kw)
+
+        monkeypatch.setattr(solver, "_history", recorded)
+        solve_duhamel(a, 0.4, f, spec, cfg)
+        assert seen == want
 
 
 class TestAnchors:

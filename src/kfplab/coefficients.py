@@ -118,7 +118,7 @@ class LowerOrderTerms:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.L < 0 or self.lam < 0:
+        if not (self.L >= 0 and self.lam >= 0):
             raise ValueError("L and lam must be nonnegative")
 
     def validate(self, d: int, n_samples: int = 2000,

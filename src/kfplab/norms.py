@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,11 +158,12 @@ def mixed_norm(f: GridField, nspec: MixedNormSpec) -> float:
     return total ** (1.0 / nspec.q)
 
 
-def _fd1_matrix(nodes: np.ndarray, max_stencil: int = 9) -> np.ndarray:
-    """First-derivative matrix on arbitrary nodes from sliding local stencils
-    (centered inside, one-sided at the ends), each solved from the scaled
-    Taylor system."""
-    n = len(nodes)
+@lru_cache(maxsize=32)
+def _fd1_matrix(n: int, t_lo: float, t_hi: float, max_stencil: int = 9) -> np.ndarray:
+    """First-derivative matrix, read-only, on the n uniform time nodes of
+    [t_lo, t_hi] from sliding local stencils (centered inside, one-sided at
+    the ends), each solved from the scaled Taylor system."""
+    nodes = np.linspace(t_lo, t_hi, n)
     m = min(max_stencil, n)
     D = np.zeros((n, n))
     for i in range(n):
@@ -173,6 +175,7 @@ def _fd1_matrix(nodes: np.ndarray, max_stencil: int = 9) -> np.ndarray:
         rhs = np.zeros(m)
         rhs[1] = 1.0 / scale
         D[i, s0:s0 + m] = np.linalg.solve(V, rhs)
+    D.flags.writeable = False
     return D
 
 
@@ -200,7 +203,7 @@ def transport_derivative(u: GridField) -> GridField:
     spec = u.spec
     if spec.n_t < 3:
         raise ValueError("transport derivative needs at least three time nodes")
-    D = _fd1_matrix(spec.t_nodes)
+    D = _fd1_matrix(spec.n_t, spec.t_lo, spec.t_hi)
     out = np.tensordot(D, u.values, axes=(1, 0))
     for i in range(spec.d):
         dx_u = spectral_derivative(u.values, axis=1 + i, half_length=spec.L_x)

@@ -41,8 +41,8 @@ conj c(k, xi).  Gaussian and sampled sources therefore run on the Hermitian
 half lattice: the last velocity axis keeps the modes m = 0, ...,
 ceil(n_v/2) - 1 and, for even n_v, the Nyquist column.  On the grid nodes
 the Nyquist mode -n/2 of an even axis is also +n/2, and the real field
-takes the mean of the two, so each even axis carries that mirror too.  The
-other half is filled by conjugation once, before the one inverse transform.
+takes the mean of the two, so each even axis carries that mirror too.  With
+the mirrors folded in, one inverse real transform reads the half lattice.
 
 The velocity transform at the shifted frequency needs no complex
 exponential on the lattice.  Its phase splits as e^{-i(xi - tau k)c} =
@@ -356,34 +356,31 @@ def _half_lattice(spec: GridSpec):
             [np.pi / spec.L_v * m for m in mv])
 
 
-def _full_coefficients(spec: GridSpec, c) -> np.ndarray:
-    """Series coefficients on the grid's full lattice from c on the half
-    lattice of _half_lattice.
+def _real_grid(spec: GridSpec, c) -> np.ndarray:
+    """Grid values of the transforms c on the half lattice of _half_lattice,
+    by one inverse real transform.
 
     On the grid nodes a Nyquist mode -n/2 and its mirror +n/2 are one
     function, and the real field takes the mean of c at a lattice point and
-    at its image with every Nyquist mode mirrored.  That mean obeys
-    c(-k, -xi) = conj c(k, xi) on the lattice, which fills the columns past
-    the half of the last velocity axis.
+    at its image with every Nyquist mode mirrored.  Over the box volume and
+    with node_phase per axis, that mean is the half series irfftn reads: the
+    real part of the inverse transform over the whole lattice.  Gathering on
+    every axis, time too, leaves the grid C-ordered.
     """
-    same, mirrored = c, c
+    box = (2.0 * spec.L_x) ** spec.d * (2.0 * spec.L_v) ** spec.d
+    mirror, factor = [np.arange(len(c))], 0.5 / box
     for axis in range(1, c.ndim):
         n = spec.shape[axis]
         idx = np.arange(n if axis < c.ndim - 1 else n // 2 + 1)
-        same = same.take(idx, axis=axis)
+        factor = factor * on_axis(node_phase(n)[idx], axis, c.ndim)
         if n % 2 == 0:
             idx[n // 2] = c.shape[axis] - 1
-        mirrored = mirrored.take(idx, axis=axis)
-    half = 0.5 * (same + mirrored)
-    h = half.shape[-1]
-    full = np.empty(spec.shape, dtype=complex)
-    full[..., :h] = half
-    flipped = half[..., spec.n_v - np.arange(h, spec.n_v)]
-    for axis in range(1, c.ndim - 1):
-        n = spec.shape[axis]
-        flipped = flipped.take(-np.arange(n) % n, axis=axis)
-    full[..., h:] = flipped.conj()
-    return full
+        mirror.append(idx)
+    half = c[np.ix_(*mirror)]
+    half += c[tuple(map(slice, half.shape))]
+    half *= factor
+    return np.fft.irfftn(half, s=spec.shape[1:], axes=tuple(range(1, c.ndim)),
+                         norm="forward")
 
 
 def _quadratics(A, ks, xis):
@@ -547,8 +544,8 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     solution below it is identically zero.
     """
     cfg = config if config is not None else SolveConfig()
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
     if a.kind not in ("constant_spd", "time_piecewise"):
         raise ValueError("the history integral needs coefficients depending "
                          "on time only")
@@ -588,15 +585,14 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
             h = term_history(prof, ks, xis, partial(_v_hat_shifted, fac, ks, xis))
             half += np.multiply(h, _x_hat(fac, ks, xis), out=h)
             del h  # free the stack before the next term's history
-    half /= (2.0 * out_spec.L_x) ** out_spec.d * (2.0 * out_spec.L_v) ** out_spec.d
-    u = SpectralField(out_spec, _full_coefficients(out_spec, half)).to_grid()
+    u = _real_grid(out_spec, half)
     for term in modes:
         prof, fac = term.profile, term.factor
         h = term_history(prof, [np.zeros(1)] * out_spec.d,
                          [np.array([w], dtype=float) for w in fac.mode_freq],
                          lambda taus: 1.0)
-        u.values[...] += fac.amplitude * h.real * _spatial_values(fac, out_spec)
-    return u
+        u += fac.amplitude * h.real * _spatial_values(fac, out_spec)
+    return GridField(out_spec, u)
 
 
 def _check_mode(fac: SpaceFactor, spec: GridSpec) -> None:

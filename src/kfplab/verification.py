@@ -127,7 +127,7 @@ def estimate_ratio(u: GridField, f: GridField, lam: float,
     + ||Dv frac_x^{1/2} u|| + ||Yu||, every norm taken in the given mixed
     spec; right side ||f||.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     rhs = mixed_norm(f, nspec)
     if rhs == 0:

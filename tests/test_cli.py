@@ -125,6 +125,16 @@ class TestSolveCommand:
         want = solve_duhamel(a, 1.0, src, got.spec)
         assert np.array_equal(got.values, want.values)
 
+    # the schema's minimum admits .nan and .inf; with .inf the quadrature's
+    # first step is 0 and its panel ladder would never advance
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lam_is_config_error(self, tmp_path, capsys, lam):
+        payload = _steady_solve_config()
+        payload["lam"] = lam
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
         payload = _steady_solve_config()
         payload["coefficients"] = {"kind": "constant_spd", "delta": 0.4,

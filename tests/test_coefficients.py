@@ -286,3 +286,9 @@ class TestLowerOrderTerms:
         with pytest.raises(ValueError):
             LowerOrderTerms(b_fn=lambda t, x, v: x, c_fn=lambda t, x, v: t,
                             L=1.0, lam=-0.5)
+
+    @pytest.mark.parametrize("L,lam", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_nan_bound_or_lambda_rejected(self, L, lam):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LowerOrderTerms(b_fn=lambda t, x, v: x, c_fn=lambda t, x, v: t,
+                            L=L, lam=lam)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kfplab.grids import GridField, GridSpec, MAGIC
 from kfplab.norms import (
     MixedNormSpec,
+    _fd1_matrix,
     mixed_norm,
     s_norm,
     s_norm_terms,
@@ -208,6 +209,11 @@ class TestTransportDerivative:
         Yu = transport_derivative(u)
         expect = np.cos(spec.t_nodes)[:, None, None]
         assert np.max(np.abs(Yu.values - expect)) < 1e-9
+
+    def test_time_matrix_is_built_once_and_read_only(self):
+        D = _fd1_matrix(SPEC1.n_t, SPEC1.t_lo, SPEC1.t_hi)
+        assert D is _fd1_matrix(SPEC1.n_t, SPEC1.t_lo, SPEC1.t_hi)
+        assert not D.flags.writeable
 
     def test_too_few_time_nodes(self):
         spec = GridSpec(d=1, n_t=2, n_x=4, n_v=4, t_lo=0.0, t_hi=1.0, L_x=1.0, L_v=1.0)

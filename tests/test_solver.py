@@ -241,6 +241,33 @@ class TestHalfLattice:
                  "negative_last": (1, -3)}[mode][-d:]
         _check_half_lattice(d, 5, n_v, True, steps)
 
+    # 1- and 2-point axes: the half of a 2-point last axis is its zero mode
+    # and its Nyquist mode, and a 1-point axis has no Nyquist mode at all
+    @pytest.mark.parametrize("n_x,n_v", [(1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("piecewise", [False, True])
+    def test_short_axes_match_full_lattice(self, n_x, n_v, d, piecewise):
+        _check_half_lattice(d, n_x, n_v, piecewise, (0, 0)[:d])
+
+    def test_solver_builds_no_full_lattice(self, monkeypatch):
+        spec = GridSpec(d=1, n_t=4, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        src = GridSpec(d=1, n_t=21, n_x=6, n_v=8, t_lo=-1.0, t_hi=1.0,
+                       L_x=3.0, L_v=2.5)
+        f = AnalyticSource((
+            _pulse_term(0.4, 0.3, mx=0.5, mv=0.6),
+            SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
+                       SpaceFactor(kind="v_mode", mode_freq=(math.pi / 2.5,)))))
+        g = AnalyticSource((_pulse_term(0.4, 0.3),)).sample(src)
+
+        def no_full_lattice(self):
+            raise AssertionError("the solver inverted a full complex lattice")
+
+        monkeypatch.setattr(SpectralField, "to_grid", no_full_lattice)
+        solve_duhamel(_const_a(), 0.4, f, spec)
+        solve_duhamel(_const_a(), 0.4, g, spec,
+                      SolveConfig(grid_source_interpolation=True))
+
     @pytest.mark.parametrize("n_x,n_v", [(6, 7), (8, 8)])
     @pytest.mark.parametrize("piecewise", [False, True])
     def test_sampled_source_matches_full_lattice(self, n_x, n_v, piecewise):
@@ -552,6 +579,12 @@ class TestSolveInvariants:
         f = AnalyticSource((_pulse_term(0.4, 0.3, amp=0.0),))
         u = solve_duhamel(_const_a(), 0.2, f, self._grid())
         assert np.all(u.values == 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_lam(self, lam):
+        f = AnalyticSource((_pulse_term(0.4, 0.3),))
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_duhamel(_const_a(), lam, f, self._grid())
 
     def test_solution_owns_contiguous_real_values(self):
         f = AnalyticSource((_pulse_term(0.4, 0.3, mx=0.5, mv=0.6),))

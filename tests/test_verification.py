@@ -145,6 +145,11 @@ class TestEstimateRatio:
         with pytest.raises(ValueError, match="nonnegative"):
             estimate_ratio(u, fg, -0.5, MixedNormSpec.unmixed(2.0, 1))
 
+    def test_nan_lam_rejected(self, steady_case):
+        u, fg = steady_case
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_ratio(u, fg, math.nan, MixedNormSpec.unmixed(2.0, 1))
+
 
 class TestLambdaDependence:
     def test_closed_form_never_exceeds_one(self):

@@ -39,6 +39,8 @@ def _check_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
     if not np.array_equal(m, m.T):
         raise ValueError(f"{what} must be symmetric")
     return m

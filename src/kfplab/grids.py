@@ -66,6 +66,9 @@ class GridSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
+        for name in ("t_lo", "t_hi", "L_x", "L_v"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"grid {name} must be finite")
         if self.n_t < 1 or self.n_x < 1 or self.n_v < 1:
             raise ValueError("grid extents must be positive")
         if self.n_t == 1:

@@ -10,23 +10,22 @@ xi -> xi - tau k, whose solution is the explicit integral
     u^(t, k, xi) = int_0^inf exp(-lam tau - E(tau)) f^(t - tau, k, xi - tau k) dtau,
     E(tau)       = int_0^tau (xi - s k) . A(t - s) (xi - s k) ds.
 
-E is piecewise cubic in tau between the coefficient breakpoints, so it is
-accumulated in closed form, one cubic per node on top of E at the start of
-its piece.  One driver, _history, does the remaining integral for every
+E is cubic in tau on each coefficient piece.  So where t - tau stays in
+piece j from a cut ta = t - b on, b a breakpoint, the kernel factors into
+exp(-X_t(ta)) exp(-lam (tau - ta) - Q_j(tau) + Q_j(ta)), with X_t(ta) the
+exponent reached at ta and Q_j the cubic of piece j: only the first factor
+depends on t.  One driver, _history, does the remaining integral for every
 source kind and returns it at every output time as one (time, lattice)
-stack: the nodes of Gauss-Legendre panels graded geometrically away from
-tau = 0 (where the kernel varies fastest) and split at source and
-coefficient edges, contracted in blocks of at most _BLOCK lattice elements,
-the kernel cut to zero where its exponent passes SolveConfig.exponent_cut,
-and a stop at the first block wholly past the cut, since the exponent never
-decreases along tau.  Where A is constant on the past (lo, t) of a source
-window (lo, hi), E'(tau) = (xi - tau k).A(xi - tau k) and the kernel do not
-depend on t, nor does a separable term's shifted transform, so those output
-times (with piecewise A, those before the first breakpoint past lo) share
-one node set, split at t - s for each member t and profile jump s, and one
-product with their weights.  A pulse's truncation points are no jumps: it
-is below e^{-72} of its peak there, the size of the truncation itself.  A
-source kind supplies its weights and its shifted transform at the nodes:
+stack.  A term's output times share one node set of Gauss-Legendre panels,
+graded geometrically away from tau = 0 and from each cut where the kernel
+steepens, split at every cut and profile jump, and contracted in blocks of
+at most _BLOCK lattice elements: one kernel and one product per piece
+present, and exp(-X_t(ta)) once per row and segment.  Each factor is cut to
+zero where its exponent passes SolveConfig.exponent_cut, and a piece stops
+at its first block wholly past the cut, as the exponent never decreases
+along tau.  A pulse's truncation points are no jumps: it is below e^{-72}
+of its peak there, the size of the truncation itself.  A source kind
+supplies its weights and its shifted transform at the nodes:
 
 - gaussian terms have spatial transforms known in closed form at any
   frequency; the continuum transform of a rapidly decaying profile becomes
@@ -34,7 +33,8 @@ source kind supplies its weights and its shifted transform at the nodes:
 - a v_mode term is lattice data at k = 0, where xi - tau k stays at omega,
   so its solution is its own spatial factor cos(omega . v + phase) times
   the scalar history on the one-point lattice (0, omega), formed on the grid;
-- a sampled GridField is interpolated between its time slices.
+- a sampled GridField is interpolated between its time slices; its
+  transform depends on t, so each output time takes a node set of its own.
 
 Sources and kernel are real, so the coefficients obey c(-k, -xi) =
 conj c(k, xi).  Gaussian and sampled sources therefore run on the Hermitian
@@ -112,6 +112,9 @@ class TimeProfile:
             if not self.stop > self.start:
                 raise ValueError("boxcar endpoints must be increasing")
         else:
+            for name in ("center", "width", "poly"):
+                if not np.all(np.isfinite(getattr(self, name))):
+                    raise ValueError(f"pulse {name} must be finite")
             if not self.width > 0:
                 raise ValueError("pulse width must be positive")
             if len(self.poly) == 0:
@@ -166,6 +169,9 @@ class SpaceFactor:
     def __post_init__(self):
         if self.kind not in ("gaussian", "v_mode"):
             raise ValueError(f"unknown space factor kind {self.kind!r}")
+        for field in dataclasses.fields(self)[1:]:
+            if not np.all(np.isfinite(getattr(self, field.name))):
+                raise ValueError(f"space factor {field.name} must be finite")
         if self.kind == "gaussian":
             d = len(self.x_center)
             for name in ("x_freq", "x_phase", "v_center", "v_freq", "v_phase"):
@@ -308,16 +314,20 @@ class SolveConfig:
             raise ValueError("h0 must lie in (0, h_max]")
 
 
-def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=()):
-    """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0,
-    split at the given edges and uniformly refined over each (lo, hi, step)
-    span.  Returns consecutive (a, b) pairs."""
+def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=(),
+            origins=()):
+    """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0 and
+    afresh from each origin, split at the edges and uniformly refined over
+    each (lo, hi, step) span.  Returns consecutive (a, b) pairs."""
     pts = {tau_lo, tau_hi}
-    tau, h = 0.0, h0
+    starts = sorted({o for o in origins if 0.0 < o < tau_hi})
+    tau, h, base = 0.0, h0, 0.0
     while (tau := tau + h) < tau_hi:
+        while starts and starts[0] <= tau:
+            tau = base = starts.pop(0)
         if tau > tau_lo:
             pts.add(tau)
-        h = min(max(h0, (growth - 1.0) * tau), h_max)
+        h = min(max(h0, (growth - 1.0) * (tau - base)), h_max)
     for e in edges:
         if tau_lo < e < tau_hi:
             pts.add(e)
@@ -331,12 +341,13 @@ def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=()):
     return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
 
-def _default_h0(delta, lam, ks, xis, h_max):
+def _default_h0(rate, lam, ks, xis, h_max):
+    """First panel: two e-folds of the kernel at A's top eigenvalue."""
     ximax2 = sum(float(np.max(x ** 2)) for x in xis)
     kmax2 = sum(float(np.max(k ** 2)) for k in ks)
-    h = 1.0 / (delta * ximax2 + lam + 1.0)
+    h = 2.0 / (rate * ximax2 + lam + 1.0)
     if kmax2 > 0:
-        h = min(h, (3.0 / (delta * kmax2)) ** (1.0 / 3.0))
+        h = min(h, (6.0 / (rate * kmax2)) ** (1.0 / 3.0))
     return min(h, h_max)
 
 
@@ -395,52 +406,15 @@ def _quadratics(A, ks, xis):
     return qkk, qkv, qvv
 
 
-def _cubic(qkk, qkv, qvv, tau, out=None):
+def _cubic(qkk, qkv, qvv, tau, out=None, ta=0.0):
+    """Q(tau) - Q(ta) for one piece's quadratics, Q(tau) = int_0^tau
+    (xi - s k).A(xi - s k) ds: the exponent E gains from ta to tau."""
     E = np.multiply(qkv, tau ** 2, out=out)
     np.subtract(qvv * tau, E, out=E)
     E += qkk * (tau ** 3) / 3.0
+    if ta:
+        E -= _cubic(qkk, qkv, qvv, ta)
     return E
-
-
-def _exponent_pieces(a: CoefficientField, t_out, ks, xis, tau_max):
-    """Per coefficient piece in tau: its range, its quadratics, its start
-    cubic, and E at its start, the increments of the pieces before it."""
-    edges = [0.0]
-    if a.kind == "time_piecewise":
-        edges += sorted(t_out - b for b in a.breakpoints if 0.0 < t_out - b < tau_max)
-    edges.append(max(tau_max, edges[-1] + 1e-9))
-    pieces, done, z = [], 0.0, np.zeros((1, a.d))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        A = np.asarray(a.eval(np.array([t_out - 0.5 * (lo + hi)]), z, z))[0]
-        q = _quadratics(A, ks, xis)
-        start = _cubic(*q, lo)
-        pieces.append((lo, hi, q, start, done))
-        done = done + _cubic(*q, hi) - start
-    return pieces
-
-
-def _lattice_exponent(pieces, taus_r, out=None):
-    """E(tau) on the lattice at ascending nodes taus_r, shape (g, 1, ..., 1).
-    Panels never straddle a piece edge, so each node evaluates the cubic of
-    its own piece alone, on top of E at the start of that piece."""
-    E = np.empty(taus_r.shape[:1] + pieces[0][3].shape) if out is None else out
-    cuts = np.searchsorted(taus_r.ravel(), [p[0] for p in pieces[1:]]).tolist()
-    for (_, _, q, start, done), i, j in zip(pieces, [0] + cuts,
-                                            cuts + [len(taus_r)]):
-        part = _cubic(*q, taus_r[i:j], out=E[i:j])
-        part += done
-        part -= start
-    return E
-
-
-def _time_groups(a, t_nodes, lo, shared):
-    """The output times past lo as slices of t_nodes: one per time, but if
-    shared, the times before the first breakpoint past lo form one."""
-    live = int(np.searchsorted(t_nodes, lo, side="right"))
-    first = min((b for b in a.breakpoints if b > lo), default=math.inf)
-    split = int(np.searchsorted(t_nodes, first, side="right")) if shared else 0
-    bounds = [live] + list(range(max(live + 1, split), len(t_nodes) + 1))
-    return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
@@ -451,19 +425,22 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
 
     source(ts, taus) returns its weights at the output times ts and nodes
     taus, broadcastable to (len(ts), len(taus)), and its transform at
-    (k, xi - tau k), broadcastable to (len(taus),) + lattice.  Unless
-    shared, ts is one time; if shared, the transform must not depend on t,
-    and each _time_groups group takes one node set, refined to fine_step
-    over the span of its members' windows and split at the coefficient
-    breakpoints and at t - s for each member t and knot s (a time where the
-    source jumps or kinks).  Nodes are contracted in ascending blocks of at
-    most max(1, _BLOCK // lattice size) in reused buffers.  The kernel
-    exp(-lam tau - E(tau)) is cut to zero where its exponent passes
-    cfg.exponent_cut; as E' >= 0 and lam >= 0, the loop stops with no loss
-    at the first block wholly past the cut.
+    (k, xi - tau k), broadcastable to (len(taus),) + lattice.  If shared, ts
+    holds every output time past lo and the transform must not depend on t;
+    otherwise ts is one time.  The node set of ts is refined to fine_step
+    over the span of their windows and split at t - b and t - s for each
+    member t, breakpoint b and knot s (a time where the source jumps or
+    kinks).  A member stops once X_t is past the cut everywhere.
     """
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(a.delta, lam, ks, xis,
+    mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
+                    else ((a.matrix,), ()))
+    rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
+    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis,
                                                        cfg.h_max)
+    quads = [_quadratics(m, ks, xis) for m in mats]
+    # going back across these the kernel steepens, so the ladder restarts
+    steeper = [b for b, older, newer in zip(breaks, rates, rates[1:])
+               if older > newer]
     gl_x, gl_w = _leggauss(cfg.quad_order)
     lo, hi = window
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
@@ -471,32 +448,60 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
     work_x = np.empty((block,) + lattice)
     work_s = np.empty((block,) + lattice, dtype=complex)
-    for group in _time_groups(a, t_nodes, lo, shared):
-        ts = t_nodes[group]
-        pieces = _exponent_pieces(a, ts[-1], ks, xis, ts[-1] - lo)
-        edges = [p[0] for p in pieces[1:]] + [t - s for t in ts for s in knots]
-        fine = [(ts[0] - hi, ts[-1] - lo, fine_step)] if fine_step is not None else []
-        panels = _panels(max(0.0, ts[0] - hi), ts[-1] - lo, h0, cfg.h_max,
-                         cfg.growth, edges, fine)
+    step = len(t_nodes) if shared else 1
+    for i in range(int(np.searchsorted(t_nodes, lo, side="right")),
+                   len(t_nodes), step):
+        ts, group = t_nodes[i:i + step], out[i:i + step]
+        tau_hi = ts[-1] - lo
+        cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
+        fine = [(ts[0] - hi, tau_hi, fine_step)] if fine_step is not None else []
+        panels = _panels(max(0.0, ts[0] - hi), tau_hi, h0, cfg.h_max,
+                         cfg.growth, cuts + [t - s for t in ts for s in knots],
+                         fine, [t - b for t in ts for b in steeper])
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
         wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
         taus_r = taus.reshape((-1,) + (1,) * len(lattice))
-        rows = out[group].reshape(len(ts), -1).view(float)
-        for b in range(0, len(taus), block):
-            n = len(taus[b:b + block])
-            X = _lattice_exponent(pieces, taus_r[b:b + block], out=work_x[:n])
-            X += lam * taus_r[b:b + block]
-            past = X > cfg.exponent_cut
-            if past.all():
+        ends = [0.0] + cuts + [tau_hi]
+        bounds = np.searchsorted(taus, ends).tolist()
+        X = np.zeros(group.shape) if cuts else None  # X_t(ta) past the cuts
+        for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:]):
+            piece = np.searchsorted(breaks, ts - 0.5 * (ta + tb), side="right")
+            alive = (np.ones(len(ts), dtype=bool) if not ta else
+                     ~np.all(X > cfg.exponent_cut, axis=tuple(range(1, X.ndim))))
+            runs = [(j, slice(m[0], m[-1] + 1)) for j in np.unique(piece[alive])
+                    for m in [np.flatnonzero((piece == j) & alive)]]
+            if not runs:
                 break
-            K = np.exp(np.negative(X, out=X), out=X)
-            np.copyto(K, 0.0, where=past)
-            weights, shifted = source(ts, taus[b:b + block])
-            S = np.multiply(K, shifted, out=work_s[:n]).reshape(n, -1)
-            W = np.broadcast_to(wts[b:b + block] * weights, (len(ts), n))
-            # rows += W @ S in place: the transposes are Fortran-ordered
-            dgemm(1.0, S.view(float).T, W.T, 1.0, rows.T, overwrite_c=True)
+            acc = np.zeros_like(group) if ta else group  # the segment's sums
+            rows = acc.reshape(len(ts), -1).view(float)
+            active = runs
+            for b in range(s0, s1, block):
+                n, W, kept = min(block, s1 - b), None, []
+                for j, sl in active:
+                    K = _cubic(*quads[j], taus_r[b:b + n], work_x[:n], ta)
+                    K += lam * (taus_r[b:b + n] - ta)
+                    past = K > cfg.exponent_cut
+                    if past.all():
+                        continue
+                    kept.append((j, sl))
+                    np.exp(np.negative(K, out=K), out=K)
+                    np.copyto(K, 0.0, where=past)
+                    if W is None:
+                        weights, shifted = source(ts, taus[b:b + n])
+                        W = np.broadcast_to(wts[b:b + n] * weights, (len(ts), n))
+                    S = np.multiply(K, shifted, out=work_s[:n]).reshape(n, -1)
+                    # rows += W @ S in place: the transposes are Fortran-ordered
+                    dgemm(1.0, S.view(float).T, W[sl].T, 1.0, rows[sl].T,
+                          overwrite_c=True)
+                if not (active := kept):
+                    break
+            for j, sl in runs:
+                if ta:
+                    group[sl] += acc[sl] * np.where(X[sl] > cfg.exponent_cut,
+                                                    0.0, np.exp(-X[sl]))
+                if tb < tau_hi:
+                    X[sl] += _cubic(*quads[j], tb, ta=ta) + lam * (tb - ta)
     return out
 
 

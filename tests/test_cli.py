@@ -135,6 +135,30 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "nonnegative" in capsys.readouterr().err
 
+    # the schema admits .nan and .inf for every number; the solve used to
+    # spin forever (pulse width, t_hi), print nan (amplitude, x_sigma,
+    # poly, value), return zeros (center) or die on a nan cast (t_lo)
+    @pytest.mark.parametrize("where,key,value", [
+        ("profile", "width", math.inf), ("grid", "t_hi", math.inf),
+        ("factor", "amplitude", math.nan), ("factor", "x_sigma", math.inf),
+        ("profile", "poly", [math.nan]), ("coefficients", "value", math.inf),
+        ("profile", "center", math.nan), ("grid", "t_lo", -math.inf)])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, where,
+                                              key, value):
+        payload = _steady_solve_config()
+        term = payload["source"]["terms"][0]
+        term["profile"] = {"kind": "pulse", "center": 0.5, "width": 0.2}
+        term["factor"] = {"kind": "gaussian", "x_center": [0.0],
+                          "x_freq": [0.0], "x_phase": [0.0],
+                          "v_center": [0.0], "v_freq": [0.0], "v_phase": [0.0]}
+        parts = {"grid": payload["grid"], "factor": term["factor"],
+                 "coefficients": payload["coefficients"],
+                 "profile": term["profile"]}
+        parts[where][key] = value
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
         payload = _steady_solve_config()
         payload["coefficients"] = {"kind": "constant_spd", "delta": 0.4,

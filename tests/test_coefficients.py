@@ -54,6 +54,15 @@ class TestEllipticity:
         with pytest.raises(ValueError, match="symmetric"):
             _const([[1.0, 0.3], [0.0, 1.0]], delta=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="coefficient matrix must be finite"):
+            _const([[1.0, 0.0], [0.0, bad]], delta=0.5)
+        with pytest.raises(ValueError, match="coefficient matrix must be finite"):
+            CoefficientField(kind="time_piecewise", d=1, delta=0.5,
+                             breakpoints=(0.3,),
+                             matrices=(np.eye(1), np.array([[bad]])))
+
     def test_asymmetric_smooth_field_rejected_by_check(self):
         def fn(t, x, v):
             out = np.zeros(t.shape + (2, 2))

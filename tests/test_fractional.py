@@ -60,6 +60,16 @@ class TestSpectralField:
         assert abs(c[0, 0, 0]) < 1e-14
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("name", ["t_lo", "t_hi", "L_x", "L_v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_extent_rejected(self, name, bad):
+        kw = dict(d=1, n_t=3, n_x=4, n_v=4, t_lo=0.0, t_hi=1.0, L_x=2.0,
+                  L_v=2.0)
+        with pytest.raises(ValueError, match=f"grid {name} must be finite"):
+            GridSpec(**{**kw, name: bad})
+
+
 class TestFrequencyLattice:
     def test_wavenumbers_match_the_fftfreq_lattice(self):
         for n in (7, 17, 24, 25, 64, 65):

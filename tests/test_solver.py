@@ -136,6 +136,23 @@ class TestTransformOracles:
         with pytest.raises(ValueError, match="term"):
             AnalyticSource(())
 
+    # a non-finite pulse center or width, or a non-finite space factor
+    # field, used to pass into the solver and come out as nan, zeros or a
+    # panel ladder that never ends
+    @pytest.mark.parametrize("name,value", [
+        ("center", math.nan), ("width", math.inf), ("poly", (1.0, math.nan))])
+    def test_non_finite_pulse_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"pulse {name} must be finite"):
+            TimeProfile(kind="pulse", **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("amplitude", math.nan), ("x_sigma", math.inf), ("v_sigma", math.nan),
+        ("x_center", (math.inf,)), ("v_phase", (math.nan,)),
+        ("mode_freq", (-math.inf,)), ("mode_phase", math.nan)])
+    def test_non_finite_space_factor_rejected(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"space factor {name} must be finite"):
+            SpaceFactor(kind="gaussian", **{name: value})
 
     @given(c=st.floats(-1.0, 1.0), sigma=st.floats(0.3, 2.0),
            m=st.floats(0.0, 2.0), phi=st.floats(-math.pi, math.pi),
@@ -291,8 +308,13 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
     """Reference history quadrature: one output time and one panel at a
     time, whatever shared says, every coefficient piece summed at every node
     through clipped cubics, and no early exit."""
+    mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
+    rates = [np.linalg.eigvalsh(m)[-1] for m in mats]
     h0 = cfg.h0 if cfg.h0 is not None else solver._default_h0(
-        a.delta, lam, ks, xis, cfg.h_max)
+        max(rates), lam, ks, xis, cfg.h_max)
+    # the ladder restarts where the kernel steepens going back in tau
+    steeper = [b for b, older, newer in zip(a.breakpoints, rates, rates[1:])
+               if older > newer]
     gl_x, gl_w = solver._leggauss(cfg.quad_order)
     lo, hi = window
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
@@ -300,12 +322,13 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
     for acc, t_out in zip(out, t_nodes):
         if t_out - lo <= 0:
             continue
-        pieces = solver._exponent_pieces(a, t_out, ks, xis, t_out - lo)
+        pieces = _exponent_pieces(a, t_out, ks, xis, t_out - lo)
         edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
         fine = ([(t_out - hi, t_out - lo, fine_step)]
                 if fine_step is not None else [])
         for p_lo, p_hi in solver._panels(max(0.0, t_out - hi), t_out - lo, h0,
-                                         cfg.h_max, cfg.growth, edges, fine):
+                                         cfg.h_max, cfg.growth, edges, fine,
+                                         [t_out - b for b in steeper]):
             taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
             taus_r = taus.reshape((-1,) + (1,) * len(lattice))
             X = lam * taus_r + _all_pieces_exponent(pieces, taus_r)
@@ -316,11 +339,27 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
     return out
 
 
+def _exponent_pieces(a, t_out, ks, xis, tau_max):
+    """Per coefficient piece of the past of t_out, in tau up to tau_max: its
+    range, its quadratics and its cubic at the start of the range."""
+    edges = [0.0]
+    if a.kind == "time_piecewise":
+        edges += sorted(t_out - b for b in a.breakpoints
+                        if 0.0 < t_out - b < tau_max)
+    edges.append(max(tau_max, edges[-1] + 1e-9))
+    pieces, z = [], np.zeros((1, a.d))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        A = np.asarray(a.eval(np.array([t_out - 0.5 * (lo + hi)]), z, z))[0]
+        q = solver._quadratics(A, ks, xis)
+        pieces.append((lo, hi, q, solver._cubic(*q, lo)))
+    return pieces
+
+
 def _all_pieces_exponent(pieces, taus_r):
     """E(tau) as the sum over every coefficient piece of its cubic increment
     up to tau clipped into the piece."""
     E = 0.0
-    for lo, hi, q, start, _ in pieces:
+    for lo, hi, q, start in pieces:
         E = E + solver._cubic(*q, np.clip(taus_r, lo, hi)) - start
     return E
 
@@ -329,11 +368,25 @@ def _exponent_magnitude(pieces, taus_r):
     """The sum of _all_pieces_exponent with every term by its absolute
     value: the scale of the rounding error of either way of forming E."""
     size = 0.0
-    for lo, hi, (qkk, qkv, qvv), start, _ in pieces:
+    for lo, hi, (qkk, qkv, qvv), start in pieces:
         s = np.clip(taus_r, lo, hi)
         size = (size + np.abs(qvv) * s + np.abs(qkv) * s ** 2
                 + np.abs(qkk) * s ** 3 / 3.0 + np.abs(start))
     return size
+
+
+def _factored_exponent(pieces, lam, taus_r):
+    """lam tau + E(tau) as the solver forms it: X(ta) at the start ta of
+    each piece, summed from the pieces' increments, plus the increment of
+    the node's own piece since ta."""
+    X = np.empty(taus_r.shape[:1] + pieces[0][3].shape)
+    cuts = np.searchsorted(taus_r.ravel(), [p[0] for p in pieces[1:]]).tolist()
+    Xa = 0.0
+    for (lo, hi, q, _), i, j in zip(pieces, [0] + cuts, cuts + [len(taus_r)]):
+        X[i:j] = Xa + (solver._cubic(*q, taus_r[i:j], ta=lo)
+                       + lam * (taus_r[i:j] - lo))
+        Xa = Xa + solver._cubic(*q, hi, ta=lo) + lam * (hi - lo)
+    return X
 
 
 def _random_spd(rng, d, delta):
@@ -353,7 +406,8 @@ class TestBlockedQuadrature:
     def test_exponent_never_decreases_along_the_nodes(self, seed, d, delta,
                                                       lam, n_breaks):
         # the invariant behind the early exit: E' = (xi - tau k).A(xi - tau k)
-        # >= 0, so lam tau + E(tau) is monotone along ascending nodes
+        # >= 0, so lam tau + E(tau) is monotone along ascending nodes; the
+        # solver forms it factored at the coefficient breakpoints
         rng = np.random.default_rng(seed)
         t_out = 1.5
         breaks = tuple(np.sort(rng.uniform(-0.5, t_out, n_breaks)))
@@ -367,7 +421,7 @@ class TestBlockedQuadrature:
                         L_x=3.0, L_v=2.5)
         ks, xis = solver._half_lattice(spec)
         tau_max = 2.0
-        pieces = solver._exponent_pieces(a, t_out, ks, xis, tau_max)
+        pieces = _exponent_pieces(a, t_out, ks, xis, tau_max)
         edges = [p[0] for p in pieces[1:]]
         taus = np.sort(np.concatenate([
             np.linspace(0.0, tau_max, 97)[1:], rng.uniform(0.0, tau_max, 40),
@@ -375,11 +429,11 @@ class TestBlockedQuadrature:
         taus_r = taus.reshape((-1,) + (1,) * (2 * d))
         # tolerances are relative to the size of the summands, since E can
         # be far smaller than its cubic terms where they cancel
-        E = solver._lattice_exponent(pieces, taus_r)
+        E = _factored_exponent(pieces, 0.0, taus_r)
         size = _exponent_magnitude(pieces, taus_r)
         ref = _all_pieces_exponent(pieces, taus_r)
         assert np.all(np.abs(E - ref) <= 1e-14 * size)
-        X = lam * taus_r + E
+        X = _factored_exponent(pieces, lam, taus_r)
         assert np.all(np.diff(X, axis=0) >= -1e-12 * (lam * taus_r + size)[1:])
 
     @pytest.mark.parametrize("block", ["node", "panel", "default"])
@@ -387,20 +441,34 @@ class TestBlockedQuadrature:
                                       "d2_constant", "d2_piecewise",
                                       "sampled_constant", "sampled_piecewise",
                                       "boxcar_constant", "boxcar_piecewise",
-                                      "boxcar_early_breaks"])
+                                      "boxcar_early_breaks",
+                                      "boxcar_constant_delta01",
+                                      "boxcar_piecewise_delta01",
+                                      "boxcar_early_breaks_delta01",
+                                      "d1_piecewise_steep",
+                                      "d2_piecewise_steep"])
     def test_blocks_match_the_per_panel_loop(self, monkeypatch, case, block):
         d = 2 if case.startswith("d2") else 1
-        # early breaks lie below every source window, so each term's live
-        # output times all share one node set
-        breaks = (-0.4, 0.05) if case.endswith("early_breaks") else (0.35, 0.7)
-        # at delta = 0.1 the default first panel, whose h0 takes delta for
-        # the decay rate, resolves a boxcar history only to about 2e-13,
-        # which the member edges of a shared node set refine
-        delta = 0.3 if case.startswith("boxcar") else 0.1
-        a = (_piecewise_a(breaks, (1.0, 3.0, 0.5), d=d, delta=delta)
-             if case.endswith(("piecewise", "early_breaks")) else
-             CoefficientField(kind="constant_spd", d=d, delta=0.3,
-                              matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d))))
+        # the first panel takes its decay rate from A, not from delta, so
+        # the boxcar cases hold at delta = 0.1 as well as at 0.3
+        delta = 0.1 if case.endswith("delta01") else 0.3
+        if case.endswith("steep"):
+            # three breakpoints inside the output window, where the kernel
+            # steepens and flattens by up to 16x and A is not diagonal
+            a = CoefficientField(
+                kind="time_piecewise", d=d, delta=0.05,
+                breakpoints=(0.2, 0.45, 0.8),
+                matrices=tuple(v * (np.eye(d) + 0.3 * (1.0 - np.eye(d)))
+                               for v in (0.5, 8.0, 1.0, 3.0)))
+        elif "piecewise" in case or "early_breaks" in case:
+            # early breaks lie below every source window, so each term's
+            # live output times stay in one coefficient piece
+            breaks = (-0.4, 0.05) if "early_breaks" in case else (0.35, 0.7)
+            a = _piecewise_a(breaks, (1.0, 3.0, 0.5), d=d,
+                             delta=delta if case.startswith("boxcar") else 0.1)
+        else:
+            a = CoefficientField(kind="constant_spd", d=d, delta=delta,
+                                 matrix=np.eye(d) + 0.2 * (1.0 - np.eye(d)))
         cfg = SolveConfig()
         if case.startswith("boxcar"):
             # both ends of each boxcar fall between output times, so a
@@ -477,11 +545,11 @@ class TestBlockedQuadrature:
             assert {n for n, _ in seen} == {1}
 
     @pytest.mark.parametrize("case", ["constant", "piecewise", "sampled"])
-    def test_output_times_share_nodes_until_a_breakpoint(self, monkeypatch,
-                                                         case):
+    def test_output_times_share_one_node_set(self, monkeypatch, case):
         # the pulse's support starts at 0.36, after the breakpoint 0.35, so
-        # the live output times are t_nodes[3:]; the next breakpoint, 0.7,
-        # splits them into t_nodes[3:6] and one group per later time
+        # the live output times are t_nodes[3:]; the kernel factors at the
+        # next breakpoint, 0.7, so they stay one group across it, and only
+        # the sampled transform, which depends on t, takes one time a call
         spec = GridSpec(d=1, n_t=9, n_x=6, n_v=7, t_lo=0.0, t_hi=1.0,
                         L_x=3.0, L_v=2.5)
         t = spec.t_nodes
@@ -492,9 +560,6 @@ class TestBlockedQuadrature:
                                       t_hi=1.0, L_x=3.0, L_v=2.5))
             cfg = SolveConfig(grid_source_interpolation=True)
             want = {(ti,) for ti in t[3:]}
-        elif case == "piecewise":
-            f = pulse
-            want = {tuple(t[3:6])} | {(ti,) for ti in t[6:]}
         else:
             f = pulse
             want = {tuple(t[3:])}
@@ -514,6 +579,56 @@ class TestBlockedQuadrature:
         monkeypatch.setattr(solver, "_history", recorded)
         solve_duhamel(a, 0.4, f, spec, cfg)
         assert seen == want
+
+
+class TestAdmissibleRange:
+    # the estimates hold uniformly over delta I <= A <= I / delta, so the
+    # default quadrature must hold there too, eigenvalues at delta^{+-1}
+    # included, and not only near A = I
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+           delta=st.floats(0.02, 1.0, exclude_max=True),
+           lam=st.floats(0.0, 20.0), n_breaks=st.integers(0, 3),
+           exps=st.lists(st.one_of(st.sampled_from([-1.0, 1.0]),
+                                   st.floats(-1.0, 1.0)),
+                         min_size=8, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_default_config_matches_refined(self, seed, d, delta, lam,
+                                            n_breaks, exps):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for i in range(n_breaks + 1):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = (q * delta ** np.array(exps[2 * i:2 * i + d])) @ q.T
+            mats.append(0.5 * (m + m.T))
+        a = (CoefficientField(kind="time_piecewise", d=d, delta=delta,
+                              breakpoints=tuple(np.sort(rng.uniform(
+                                  -0.3, 1.0, n_breaks))),
+                              matrices=tuple(mats))
+             if n_breaks else
+             CoefficientField(kind="constant_spd", d=d, delta=delta,
+                              matrix=mats[0]))
+        spec = (GridSpec(d=1, n_t=5, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
+                         L_x=3.0, L_v=2.5) if d == 1 else
+                GridSpec(d=2, n_t=3, n_x=4, n_v=6, t_lo=0.0, t_hi=1.0,
+                         L_x=3.0, L_v=2.5))
+        step = math.pi / spec.L_v
+        f = AnalyticSource((
+            SourceTerm(
+                TimeProfile(kind="pulse", center=0.45, width=0.2,
+                            poly=(1.0, 0.5)),
+                SpaceFactor(kind="gaussian", x_center=(0.3, -0.5)[:d],
+                            x_sigma=0.6, x_freq=(0.7, 0.2)[:d],
+                            x_phase=(2.1, 0.4)[:d], v_center=(-0.4, 0.6)[:d],
+                            v_sigma=0.5, v_freq=(0.9, 0.3)[:d],
+                            v_phase=(1.3, 5.0)[:d])),
+            SourceTerm(TimeProfile(kind="boxcar", start=-0.5, stop=0.7),
+                       SpaceFactor(kind="v_mode", amplitude=0.7,
+                                   mode_freq=(2 * step, step)[:d],
+                                   mode_phase=0.3))))
+        want = solve_duhamel(a, lam, f, spec, SolveConfig(
+            quad_order=16, h0=1e-4, growth=1.1)).values
+        got = solve_duhamel(a, lam, f, spec).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestAnchors:

@@ -3,9 +3,10 @@
 One YAML config file drives each subcommand; every config is validated
 against a strict schema (unknown keys rejected) before any computation.
 Exit codes: 0 success, 1 a checked invariant failed (its identifier is
-printed), 2 config or usage error.  All randomness flows from a single
-root seed through SeedSequence spawns, so artifacts are bit-identical for
-identical config and seed on one platform.
+printed), 2 config or usage error, an unwritable output path included.
+All randomness flows from a single root seed through SeedSequence spawns,
+so artifacts are bit-identical for identical config and seed on one
+platform.
 """
 
 from __future__ import annotations
@@ -462,7 +463,10 @@ def _cmd_verify_estimate(cfg: dict, out_dir: Path, seed: int,
     nspec = _build_norm(cfg["norm"], spec.d)
     ccfg = dict(cfg["corpus"])
     n_cases = ccfg.pop("n_cases")
-    corpus = random_source_corpus(seed, n_cases, spec, **ccfg)
+    try:
+        corpus = random_source_corpus(seed, n_cases, spec, **ccfg)
+    except ValueError as exc:
+        raise ConfigError(f"corpus: {exc}") from exc
     solver_cfg = _build_solver_config(cfg)
     lam = cfg["lam"]
 
@@ -683,7 +687,7 @@ def main(argv=None) -> int:
             raise ConfigError("workers must be at least one")
         out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -700,7 +704,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL {exc.invariant}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

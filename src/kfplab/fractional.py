@@ -1,9 +1,9 @@
 """Fractional position Laplacians, kinetic mollification, and a dyadic tail bound.
 
-Fractional operators act on the periodic grid through Fourier multipliers
-(|k|^{2s} for the fractional Laplacian, i xi_j |k|^{1/3} for the mixed
-velocity-gradient operator).  An independent singular-integral oracle with
-the standard normalization
+Fractional operators act on the periodic grid through the |k|^{2s}
+multiplier on real transforms; D_v (-Laplace_x)^{1/6} is the v-gradient of
+the 1/6 power.  An independent singular-integral oracle with the standard
+normalization
 
     c_{d,s} = 4^s Gamma(d/2 + s) / (pi^{d/2} |Gamma(-s)|)
 
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .grids import GridField, GridSpec, node_phase, on_axis, wavenumbers
+from .grids import GridField, GridSpec, node_phase, wavenumbers
+from .norms import spectral_derivative, v_gradient_magnitude
 
 __all__ = [
     "SpectralField",
@@ -85,10 +86,10 @@ def spectral_l2(f: GridField) -> float:
 
 
 def _x_radial_multiplier(spec: GridSpec, power: float) -> np.ndarray:
-    """|k|^power on the position frequency mesh, zero at the zero mode,
-    shaped to broadcast over a full (t, x, v) array."""
+    """|k|^power on the rfftn position mesh (last x axis halved), zero at
+    the zero mode, shaped to broadcast over a (t, x, v) spectrum."""
     ks = wavenumbers(spec.n_x, spec.L_x)
-    mesh = np.meshgrid(*([ks] * spec.d), indexing="ij")
+    mesh = np.meshgrid(*[ks] * (spec.d - 1), ks[:spec.n_x // 2 + 1], indexing="ij")
     rad2 = sum(m * m for m in mesh)
     out = np.zeros_like(rad2, dtype=float)
     nz = rad2 > 0
@@ -101,29 +102,21 @@ def frac_laplacian_x(u: GridField, s: float) -> GridField:
     if not 0.0 < s < 1.0:
         raise ValueError("fractional order s must lie in (0, 1)")
     spec = u.spec
-    F = np.fft.fftn(u.values, axes=spec.x_axes)
+    F = np.fft.rfftn(u.values, axes=spec.x_axes)
     F *= _x_radial_multiplier(spec, 2.0 * s)
-    return u.like(np.fft.ifftn(F, axes=spec.x_axes).real)
+    return u.like(np.fft.irfftn(F, s=(spec.n_x,) * spec.d, axes=spec.x_axes))
 
 
 def dv_frac_sixth(u: GridField) -> tuple:
-    """Components of D_v (-Laplace_x)^{1/6} u: multiplier i xi_j |k|^{1/3}."""
-    spec = u.spec
-    F = np.fft.fftn(u.values, axes=spec.x_axes + spec.v_axes)
-    F *= _x_radial_multiplier(spec, 1.0 / 3.0)
-    xis = wavenumbers(spec.n_v, spec.L_v)
-    if spec.n_v % 2 == 0:
-        xis[spec.n_v // 2] = 0.0  # unpaired Nyquist mode dropped for odd-order derivative
-    out = []
-    for j in range(spec.d):
-        G = F * (1j * on_axis(xis, 1 + spec.d + j, u.values.ndim))
-        out.append(u.like(np.fft.ifftn(G, axes=spec.x_axes + spec.v_axes).real))
-    return tuple(out)
+    """Components of D_v (-Laplace_x)^{1/6} u, the v-gradient of the 1/6
+    power."""
+    w = frac_laplacian_x(u, 1.0 / 6.0).values
+    return tuple(u.like(spectral_derivative(w, ax, u.spec.L_v))
+                 for ax in u.spec.v_axes)
 
 
 def dv_frac_sixth_magnitude(u: GridField) -> GridField:
-    comps = dv_frac_sixth(u)
-    return u.like(np.sqrt(sum(c.values ** 2 for c in comps)))
+    return v_gradient_magnitude(frac_laplacian_x(u, 1.0 / 6.0))
 
 
 def frac_normalization(d: int, s: float) -> float:

@@ -181,20 +181,19 @@ def _fd1_matrix(n: int, t_lo: float, t_hi: float, max_stencil: int = 9) -> np.nd
 
 def spectral_derivative(values: np.ndarray, axis: int, half_length: float,
                         order: int = 1) -> np.ndarray:
-    """Differentiate along a periodic axis of physical length 2*half_length
-    via the FFT.  The unpaired Nyquist mode is dropped for odd orders."""
+    """Differentiate real values along a periodic axis of physical length
+    2*half_length via the real FFT.  On an even axis the Nyquist bin is
+    real, so an odd order makes it imaginary and irfft drops it."""
     n = values.shape[axis]
-    k = wavenumbers(n, half_length)
+    k = wavenumbers(n, half_length)[:n // 2 + 1]
     if order == 1:
         mult = 1j * k
-        if n % 2 == 0:
-            mult[n // 2] = 0.0
     elif order == 2:
         mult = -(k ** 2)
     else:
         raise ValueError("only first and second derivatives are supported")
-    F = np.fft.fft(values, axis=axis) * on_axis(mult, axis, values.ndim)
-    return np.fft.ifft(F, axis=axis).real
+    F = np.fft.rfft(values, axis=axis) * on_axis(mult, axis, values.ndim)
+    return np.fft.irfft(F, n, axis=axis)
 
 
 def transport_derivative(u: GridField) -> GridField:

@@ -120,7 +120,7 @@ class EstimateReport:
 
 def estimate_ratio(u: GridField, f: GridField, lam: float,
                    nspec: MixedNormSpec, *, case_id: str = "case",
-                   delta: float = 1.0, weight_id: str | None = None) -> dict:
+                   delta: float = 1.0) -> dict:
     """One estimate row for a solution/source pair.
 
     Left side: lam ||u|| + lam^{1/2} ||Dv u|| + ||D2v u|| + ||frac_x u||
@@ -139,7 +139,7 @@ def estimate_ratio(u: GridField, f: GridField, lam: float,
         "p": nspec.p,
         "r": ";".join(str(ri) for ri in nspec.r),
         "q": nspec.q,
-        "weight": weight_id or ("unit" if nspec.weight is None else "custom"),
+        "weight": "unit" if nspec.weight is None else "custom",
         "term_u": lam * mixed_norm(u, nspec),
         "term_dv": math.sqrt(lam) * mixed_norm(v_gradient_magnitude(u), nspec),
         "term_d2v": mixed_norm(v_hessian_magnitude(u), nspec),
@@ -163,6 +163,10 @@ def random_source_corpus(seed: int, n_cases: int, out_spec: GridSpec, *,
     keeping the periodized solve consistent with plain point samples.
     Returns (case_id, source) pairs; deterministic in the seed.
     """
+    if sigma_hi < sigma_lo:
+        raise ValueError("sigma_hi must not fall below sigma_lo")
+    if width_hi < width_lo:
+        raise ValueError("width_hi must not fall below width_lo")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = out_spec.d
     window = out_spec.t_hi - out_spec.t_lo
@@ -216,9 +220,7 @@ def random_band_limited_corpus(seed: int, n_cases: int, spec: GridSpec, *,
 
 def solve_corpus(corpus, a: CoefficientField, lam: float, out_spec: GridSpec,
                  nspec: MixedNormSpec, *, config: SolveConfig | None = None,
-                 delta_label: float | None = None,
-                 weight_id: str | None = None,
-                 metadata: dict | None = None) -> EstimateReport:
+                 delta_label: float | None = None) -> EstimateReport:
     """Solve every corpus source and collect estimate rows.
 
     Cases whose sampled source has zero norm are skipped (the ratio is
@@ -233,11 +235,9 @@ def solve_corpus(corpus, a: CoefficientField, lam: float, out_spec: GridSpec,
             continue
         rows.append(estimate_ratio(
             u, fg, lam, nspec, case_id=case_id,
-            delta=a.delta if delta_label is None else delta_label,
-            weight_id=weight_id))
+            delta=a.delta if delta_label is None else delta_label))
     meta = {"grid": (out_spec.n_t, out_spec.n_x, out_spec.n_v),
             "d": out_spec.d, "lam": float(lam)}
-    meta.update(metadata or {})
     return EstimateReport(tuple(rows), {}, meta)
 
 

@@ -234,6 +234,50 @@ class TestVerifyEstimateCommand:
         assert ((tmp_path / "cfg_seed" / "estimate.csv").read_bytes()
                 == (tmp_path / "flag_seed" / "estimate.csv").read_bytes())
 
+    @pytest.mark.parametrize("lo_key, hi_key", [("sigma_lo", "sigma_hi"),
+                                                ("width_lo", "width_hi")])
+    def test_reversed_corpus_range_is_config_error(self, tmp_path, capsys,
+                                                   lo_key, hi_key):
+        payload = _estimate_config()
+        payload["corpus"].update({lo_key: 0.12, hi_key: 0.08})
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: corpus:" in err
+        assert lo_key in err and hi_key in err
+
+
+class TestUnwritableOutput:
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "solve.yaml", _steady_solve_config())
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        code = main(["solve", "--config", cfg, "--out", str(blocker)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(blocker) in err
+
+    def test_csv_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        payload = _estimate_config()
+        payload["csv"] = "missing/dir/est.csv"
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "missing/dir/est.csv" in err
+
+    def test_dump_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        payload = _steady_solve_config()
+        payload["dump"] = "nodir/solution.bin"
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nodir/solution.bin" in err
+
 
 class TestGeometryCommand:
     def test_triples_are_counted_and_pass(self, tmp_path, capsys):

@@ -160,6 +160,48 @@ class TestDvFracSixth:
         assert np.max(np.abs(mag.values - np.abs(expect.values))) < 1e-12
 
 
+
+def _d2_spec(n_x):
+    return GridSpec(d=2, n_t=2, n_x=n_x, n_v=6, t_lo=0.0, t_hi=1.0, L_x=2.0, L_v=1.5)
+
+
+class TestTwoDimensionalOracles:
+    """Closed forms on d = 2 grids, where the real transforms halve the last
+    position axis; k_2 < 0 puts the mode on the mirrored half."""
+
+    @pytest.mark.parametrize("n_x", [7, 8])
+    def test_frac_laplacian_of_an_oblique_mode(self, n_x):
+        spec = _d2_spec(n_x)
+        k = np.pi / spec.L_x * np.array([2.0, -3.0])
+        f = GridField.from_callable(
+            spec, lambda t, xs, vs: np.cos(k[0] * xs[0] + k[1] * xs[1]) + 0 * t + 0 * vs[0])
+        out = frac_laplacian_x(f, 1.0 / 3.0)
+        expect = np.linalg.norm(k) ** (2.0 / 3.0) * f.values
+        assert np.max(np.abs(out.values - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
+
+    @pytest.mark.parametrize("n_x", [7, 8])
+    def test_dv_frac_sixth_of_a_product_mode(self, n_x):
+        # cos(k.x) sin(xi.v) -> |k|^{1/3} xi_j cos(k.x) cos(xi.v)
+        spec = _d2_spec(n_x)
+        k = np.pi / spec.L_x * np.array([2.0, -3.0])
+        xi = np.pi / spec.L_v * np.array([1.0, -2.0])
+        f = GridField.from_callable(
+            spec, lambda t, xs, vs: (np.cos(k[0] * xs[0] + k[1] * xs[1])
+                                     * np.sin(xi[0] * vs[0] + xi[1] * vs[1]) + 0 * t))
+        base = GridField.from_callable(
+            spec, lambda t, xs, vs: (np.linalg.norm(k) ** (1.0 / 3.0)
+                                     * np.cos(k[0] * xs[0] + k[1] * xs[1])
+                                     * np.cos(xi[0] * vs[0] + xi[1] * vs[1]) + 0 * t))
+        comps = dv_frac_sixth(f)
+        assert len(comps) == 2
+        for xi_j, out in zip(xi, comps):
+            expect = xi_j * base.values
+            assert np.max(np.abs(out.values - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
+        mag = dv_frac_sixth_magnitude(f)
+        expect = np.linalg.norm(xi) * np.abs(base.values)
+        assert np.max(np.abs(mag.values - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
+
+
 class TestSingularOracle:
     def test_normalization_constant_value(self):
         assert frac_normalization(1, 1.0 / 3.0) == pytest.approx(0.2489, rel=2e-4)

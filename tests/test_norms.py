@@ -222,6 +222,40 @@ class TestTransportDerivative:
             transport_derivative(u)
 
 
+class TestSpectralDerivative:
+    L = 1.5
+
+    def alternating(self, n):
+        # (-1)^j along axis 1 of a (2, n, 3) array: the Nyquist mode on n even
+        return np.broadcast_to(((-1.0) ** np.arange(n))[None, :, None], (2, n, 3))
+
+    def test_first_derivative_drops_the_even_nyquist_mode(self):
+        out = spectral_derivative(self.alternating(8), axis=1, half_length=self.L)
+        assert np.max(np.abs(out)) < 1e-12
+
+    def test_second_derivative_keeps_the_even_nyquist_mode(self):
+        n = 8
+        vals = self.alternating(n)
+        out = spectral_derivative(vals, axis=1, half_length=self.L, order=2)
+        expect = -(np.pi * n / (2 * self.L)) ** 2 * vals
+        assert np.max(np.abs(out - expect)) < 1e-12 * np.max(np.abs(expect))
+
+    def test_odd_axis_mode_matches_closed_form(self):
+        n = 7
+        x = -self.L + np.arange(n) * 2 * self.L / n
+        k = 3 * np.pi / self.L  # the highest mode of an odd axis
+        vals = np.cos(k * x + 0.4)[None, :] * np.ones((2, 1))
+        d1 = spectral_derivative(vals, axis=1, half_length=self.L)
+        d2 = spectral_derivative(vals, axis=1, half_length=self.L, order=2)
+        assert np.max(np.abs(d1 + k * np.sin(k * x + 0.4))) < 1e-12 * k
+        assert np.max(np.abs(d2 + k * k * vals)) < 1e-12 * k * k
+
+    def test_third_order_rejected(self):
+        with pytest.raises(ValueError, match="first and second"):
+            spectral_derivative(self.alternating(8), axis=1,
+                                half_length=self.L, order=3)
+
+
 class TestSNorm:
     def test_zero(self):
         u = GridField(SPEC1, np.zeros(SPEC1.shape))

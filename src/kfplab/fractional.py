@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .grids import GridField, GridSpec, node_phase, wavenumbers
 from .norms import spectral_derivative, v_gradient_magnitude
@@ -130,6 +129,8 @@ def frac_laplacian_singular_oracle(u, s: float, x: float) -> float:
     quadrature, split at |y| = 1 with the symmetrized second difference near
     the origin.  u must be smooth, bounded, and decaying; serves as an
     independent oracle for the multiplier route."""
+    from scipy import integrate
+
     if not 0.0 < s < 0.5:
         raise ValueError("the pointwise formula is used only for s in (0, 1/2)")
     c = frac_normalization(1, s)
@@ -212,6 +213,8 @@ def dyadic_tail(f, sigma: float, R: float, x: float,
     """g(x) = integral over |y| > R^3 of f(x+y) |y|^{-(1+sigma)} dy on the
     line, accumulated over dyadic shells 2^{3k}R^3 < |y| < 2^{3(k+1)}R^3.
     Raises when the shell sums stop decaying (tail divergence)."""
+    from scipy import integrate
+
     if not (sigma > 0 and R > 0):
         raise ValueError("need sigma > 0 and R > 0")
     acc = 0.0

@@ -61,23 +61,19 @@ class CylinderFamily:
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
 
     @classmethod
-    def for_grid(cls, spec: GridSpec, c: float = 1.0, T: float = math.inf,
-                 n_scales: int | None = None) -> "CylinderFamily":
+    def for_grid(cls, spec: GridSpec, c: float = 1.0,
+                 T: float = math.inf) -> "CylinderFamily":
         """Dyadic ladder starting at the grid-resolving radius and growing
         until a single cylinder spans the whole domain (capped at 10)."""
         if spec.n_t < 2:
             raise ValueError("need at least two time nodes")
-        r0 = max(math.sqrt(2.0 * spec.dt), spec.dx ** (1.0 / 3.0) / c)
-        radii = [r0]
-        if n_scales is not None:
-            radii = [r0 * 2.0 ** j for j in range(n_scales)]
-        else:
-            t_range = spec.t_hi - spec.t_lo
-            while len(radii) < 10:
-                r = radii[-1]
-                if r * r >= 2.0 * t_range and r >= spec.L_v and (c * r) ** 3 >= spec.L_x:
-                    break
-                radii.append(2.0 * r)
+        radii = [max(math.sqrt(2.0 * spec.dt), spec.dx ** (1.0 / 3.0) / c)]
+        t_range = spec.t_hi - spec.t_lo
+        while len(radii) < 10:
+            r = radii[-1]
+            if r * r >= 2.0 * t_range and r >= spec.L_v and (c * r) ** 3 >= spec.L_x:
+                break
+            radii.append(2.0 * r)
         return cls(radii=tuple(radii), c=c, T=T)
 
     def _scale_lattice(self, spec: GridSpec, r: float):

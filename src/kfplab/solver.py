@@ -406,14 +406,13 @@ def _quadratics(A, ks, xis):
     return qkk, qkv, qvv
 
 
-def _cubic(qkk, qkv, qvv, tau, out=None, ta=0.0):
-    """Q(tau) - Q(ta) for one piece's quadratics, Q(tau) = int_0^tau
-    (xi - s k).A(xi - s k) ds: the exponent E gains from ta to tau."""
-    E = np.multiply(qkv, tau ** 2, out=out)
-    np.subtract(qvv * tau, E, out=E)
-    E += qkk * (tau ** 3) / 3.0
-    if ta:
-        E -= _cubic(qkk, qkv, qvv, ta)
+def _cubic(qkk, qkv, qvv, tau, out=None):
+    """Q(tau) = int_0^tau (xi - s k).A(xi - s k) ds by Horner's rule; with
+    the quadratics at xi - ta k and lam in qvv, the exponent's gain from ta."""
+    E = np.subtract(np.multiply(qkk, tau / 3.0, out=out), qkv, out=out)
+    E *= tau
+    E += qvv
+    E *= tau
     return E
 
 
@@ -473,14 +472,15 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                     for m in [np.flatnonzero((piece == j) & alive)]]
             if not runs:
                 break
+            q = {j: (qkk, qkv - ta * qkk, qvv - ta * (2.0 * qkv - ta * qkk) + lam)
+                 for j, _ in runs for qkk, qkv, qvv in [quads[j]]}
             acc = np.zeros_like(group) if ta else group  # the segment's sums
             rows = acc.reshape(len(ts), -1).view(float)
             active = runs
             for b in range(s0, s1, block):
                 n, W, kept = min(block, s1 - b), None, []
                 for j, sl in active:
-                    K = _cubic(*quads[j], taus_r[b:b + n], work_x[:n], ta)
-                    K += lam * (taus_r[b:b + n] - ta)
+                    K = _cubic(*q[j], taus_r[b:b + n] - ta, work_x[:n])
                     past = K > cfg.exponent_cut
                     if past.all():
                         continue
@@ -501,7 +501,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                     group[sl] += acc[sl] * np.where(X[sl] > cfg.exponent_cut,
                                                     0.0, np.exp(-X[sl]))
                 if tb < tau_hi:
-                    X[sl] += _cubic(*quads[j], tb, ta=ta) + lam * (tb - ta)
+                    X[sl] += _cubic(*q[j], tb - ta)
     return out
 
 

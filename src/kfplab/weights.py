@@ -28,8 +28,7 @@ Rejection from any box containing the ball is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,11 +100,8 @@ class Weight1D:
         return np.interp(x, np.asarray(self.xs, float), np.asarray(self.values, float))
 
     def cell_average(self, a: float, b: float) -> float:
-        """Exact average over [a, b] for 'power' (closed form); midpoint value
-        for the other kinds.  Used to replace singular grid nodes."""
-        if self.kind == "power":
-            return _power_cell_average(self.center, self.alpha, a, b)
-        return float(self.eval(0.5 * (a + b)))
+        """Exact average over [a, b].  Used to replace singular grid nodes."""
+        return _weight_power_average(self, 1.0, a, b)
 
 
 @dataclass(frozen=True)
@@ -173,10 +169,6 @@ class IntervalFamily:
         return IntervalFamily(self.h, self.j_min, self.j_max, self.refine_level + 1)
 
 
-class _QuadratureBlowup(Exception):
-    pass
-
-
 def _power_cell_average(center: float, expo: float, a: float, b: float) -> float:
     """Exact average of |x - center|^expo over [a, b]."""
     lo, hi = a - center, b - center
@@ -193,40 +185,28 @@ def _power_cell_average(center: float, expo: float, a: float, b: float) -> float
     return (prim(hi) - prim(lo)) / (b - a)
 
 
-def _midpoint_average(eval_fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      rtol: float = 1e-4, n0: int = 16, max_refines: int = 14) -> float:
-    """Composite midpoint average of eval_fn over [a, b], refining dyadically
-    until successive estimates change by < rtol.  Divergence is declared when
-    an estimate grows by more than 10x per refinement, or when a node value
-    is not finite.  If the cap is reached without meeting rtol the last
-    estimate is returned.
-    """
-    prev = None
-    n = n0
-    for _ in range(max_refines + 1):
-        xs = a + (np.arange(n) + 0.5) * (b - a) / n
-        vals = np.asarray(eval_fn(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise _QuadratureBlowup
-        est = float(np.mean(vals))
-        if not np.isfinite(est):
-            raise _QuadratureBlowup
-        if prev is not None:
-            if est > 10.0 * prev and prev > 0:
-                raise _QuadratureBlowup
-            if abs(est - prev) <= rtol * max(abs(est), 1e-300):
-                return est
-        prev = est
-        n *= 2
-    return prev
-
-
 def _weight_power_average(w: Weight1D, s: float, a: float, b: float) -> float:
-    """Average of w(x)^s over [a, b].  For power weights w^s is again a power
-    weight, whose average is closed-form (+inf where it is not integrable)."""
+    """Exact average of w(x)^s over [a, b].  For power weights w^s is again a
+    power weight (+inf where it is not integrable).  The other kinds are
+    constant or linear between their knots: a piece from y0 to y1 has mean
+    y0^s expm1((s+1)u) / ((s+1) expm1(u)) of y^s, with u = log(y1/y0)."""
     if w.kind == "power":
         return _power_cell_average(w.center, w.alpha * s, a, b)
-    return _midpoint_average(lambda xs: w.eval(xs) ** s, a, b)
+    knots = {"step": w.breaks, "tabulated": w.xs}.get(w.kind, ())
+    cuts = [a, *sorted(x for x in knots if a < x < b), b]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ends = (lo, hi) if w.kind == "tabulated" else (0.5 * (lo + hi),) * 2
+        y0, y1 = (float(y) for y in w.eval(ends))
+        u = math.log(y1 / y0)
+        if u == 0.0:
+            mean = y0 ** s
+        elif s == -1.0:
+            mean = y0 ** s * u / math.expm1(u)
+        else:
+            mean = y0 ** s * math.expm1((s + 1.0) * u) / ((s + 1.0) * math.expm1(u))
+        total += mean * (hi - lo)
+    return total / (b - a)
 
 
 def ap_constant_1d(w: Weight1D, p: float, family: IntervalFamily | None = None) -> float:
@@ -245,11 +225,8 @@ def ap_constant_1d(w: Weight1D, p: float, family: IntervalFamily | None = None) 
     dual = -1.0 / (p - 1.0)
     best = 1.0
     for a, b in fam.intervals():
-        try:
-            m1 = _weight_power_average(w, 1.0, a, b)
-            m2 = _weight_power_average(w, dual, a, b)
-        except _QuadratureBlowup:
-            return math.inf
+        m1 = _weight_power_average(w, 1.0, a, b)
+        m2 = _weight_power_average(w, dual, a, b)
         if math.isinf(m1) or math.isinf(m2):
             return math.inf
         if m1 <= 0 or m2 <= 0:

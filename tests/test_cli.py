@@ -3,15 +3,18 @@ reproducibility of CSV output under identical config and seed."""
 
 import csv
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from jsonschema.validators import validator_for
 
+import kfplab
 from kfplab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, SCHEMAS, main
 from kfplab.coefficients import CoefficientField
 from kfplab.grids import GridField
@@ -247,6 +250,61 @@ class TestVerifyEstimateCommand:
         err = capsys.readouterr().err
         assert "config error: corpus:" in err
         assert lo_key in err and hi_key in err
+
+    @pytest.mark.parametrize("t_factor", [
+        {"kind": "power", "alpha": 0.5},
+        {"kind": "step", "breaks": [0.3, 0.6], "levels": [1.0, 2.0, 0.5]},
+    ], ids=["power", "step"])
+    def test_weighted_norm_runs(self, tmp_path, t_factor):
+        # the weighted (2, 3, 4) norm of the benchmark's estimate workload
+        payload = _estimate_config()
+        payload["norm"] = {"p": 2.0, "r": [3.0], "q": 4.0,
+                           "weight": {"t": t_factor,
+                                      "v": [{"kind": "power", "alpha": 0.5}]}}
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / "estimate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["weight"] == "custom" for row in rows)
+
+    def test_wrong_number_of_velocity_factors(self, tmp_path, capsys):
+        payload = _estimate_config()
+        payload["norm"]["weight"] = {"t": {"kind": "constant", "level": 1.0},
+                                     "v": [{"kind": "constant"}] * 2}
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "wrong number of velocity factors" in capsys.readouterr().err
+
+    def test_refined_solver_runs(self, tmp_path):
+        payload = _estimate_config()
+        payload["solver"] = {"quad_order": 16, "h0": 1.0e-4, "growth": 1.1}
+        cfg = _write(tmp_path, "est.yaml", payload)
+        assert main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)]) == EXIT_OK
+
+    def test_h0_beyond_h_max_is_config_error(self, tmp_path, capsys):
+        payload = _estimate_config()
+        payload["solver"] = {"h0": 3.0}
+        cfg = _write(tmp_path, "est.yaml", payload)
+        assert main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: solver:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate serves only the test oracles in kfplab.fractional and
+    # pulls in optimize, sparse, spatial and special on import
+    code = "import sys, kfplab.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(kfplab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 class TestUnwritableOutput:

@@ -11,6 +11,7 @@ from kfplab.grids import GridField, GridSpec, MAGIC
 from kfplab.norms import (
     MixedNormSpec,
     _fd1_matrix,
+    _radial_power_nodes,
     mixed_norm,
     s_norm,
     s_norm_terms,
@@ -120,6 +121,31 @@ class TestMixedNorm:
                  * np.sum(np.abs(h(SPEC1.x_nodes)) ** p
                           * np.abs(SPEC1.x_nodes) ** alpha) * SPEC1.dx)
         kv = (np.sum(np.abs(k(SPEC1.v_nodes)) ** r * w1.eval(SPEC1.v_nodes)) * SPEC1.dv) ** (1 / r)
+        assert got == pytest.approx(inner ** (1 / p) * kv, rel=1e-10)
+
+    def test_x_weighted_singular_origin_node(self):
+        # n_x is even, so x = 0 is a node, where |x|^-1/2 is singular; the
+        # node takes the exact cell average (h/2)^alpha / (alpha + 1)
+        p, r, alpha = 2.0, 3.0, -0.5
+        origin = SPEC1.x_nodes == 0.0
+        assert np.count_nonzero(origin) == 1
+        patch = (SPEC1.dx / 2) ** alpha / (alpha + 1)
+        assert _radial_power_nodes(alpha, SPEC1)[origin][0] == pytest.approx(patch, rel=1e-14)
+        g = lambda t: 1.0 + 0.5 * np.sin(t)
+        h = lambda x: np.exp(-0.3 * x ** 2) + 0.1
+        k = lambda v: 2.0 + np.cos(v)
+        f = GridField.from_callable(SPEC1, lambda t, xs, vs: g(t) * h(xs[0]) * k(vs[0]))
+
+        got = mixed_norm(f, MixedNormSpec(p=p, r=(r,), q=2.0, variant="x_weighted", alpha=alpha))
+
+        tw = np.full(SPEC1.n_t, SPEC1.dt)
+        tw[0] = tw[-1] = SPEC1.dt / 2
+        with np.errstate(divide="ignore"):
+            wx = np.abs(SPEC1.x_nodes) ** alpha
+        wx[origin] = patch
+        inner = (np.sum(np.abs(g(SPEC1.t_nodes)) ** p * tw)
+                 * np.sum(np.abs(h(SPEC1.x_nodes)) ** p * wx) * SPEC1.dx)
+        kv = (np.sum(np.abs(k(SPEC1.v_nodes)) ** r) * SPEC1.dv) ** (1 / r)
         assert got == pytest.approx(inner ** (1 / p) * kv, rel=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -254,6 +280,20 @@ class TestSpectralDerivative:
         with pytest.raises(ValueError, match="first and second"):
             spectral_derivative(self.alternating(8), axis=1,
                                 half_length=self.L, order=3)
+
+
+class TestCrossDerivatives:
+    def test_v_hessian_magnitude_in_two_dimensions(self):
+        # u = sin(a v1) sin(b v2): D11 u = -a^2 u, D22 u = -b^2 u and
+        # D12 u = a b cos(a v1) cos(b v2), the off-diagonal term counted twice
+        spec = GridSpec(d=2, n_t=3, n_x=4, n_v=8, t_lo=0.0, t_hi=1.0, L_x=2.0, L_v=np.pi)
+        a, b = 1.0, 2.0
+        u = GridField.from_callable(
+            spec, lambda t, xs, vs: np.sin(a * vs[0]) * np.sin(b * vs[1]) + 0.0 * t)
+        cross = GridField.from_callable(
+            spec, lambda t, xs, vs: a * b * np.cos(a * vs[0]) * np.cos(b * vs[1]) + 0.0 * t)
+        want = np.sqrt((a ** 4 + b ** 4) * u.values ** 2 + 2.0 * cross.values ** 2)
+        assert np.max(np.abs(v_hessian_magnitude(u).values - want)) < 1e-12
 
 
 class TestSNorm:

@@ -378,14 +378,16 @@ def _exponent_magnitude(pieces, taus_r):
 def _factored_exponent(pieces, lam, taus_r):
     """lam tau + E(tau) as the solver forms it: X(ta) at the start ta of
     each piece, summed from the pieces' increments, plus the increment of
-    the node's own piece since ta."""
+    the node's own piece since ta, whose quadratics are taken at xi - ta k
+    with lam added to qvv."""
     X = np.empty(taus_r.shape[:1] + pieces[0][3].shape)
     cuts = np.searchsorted(taus_r.ravel(), [p[0] for p in pieces[1:]]).tolist()
     Xa = 0.0
-    for (lo, hi, q, _), i, j in zip(pieces, [0] + cuts, cuts + [len(taus_r)]):
-        X[i:j] = Xa + (solver._cubic(*q, taus_r[i:j], ta=lo)
-                       + lam * (taus_r[i:j] - lo))
-        Xa = Xa + solver._cubic(*q, hi, ta=lo) + lam * (hi - lo)
+    for (lo, hi, (qkk, qkv, qvv), _), i, j in zip(pieces, [0] + cuts,
+                                                 cuts + [len(taus_r)]):
+        q = (qkk, qkv - lo * qkk, qvv - lo * (2.0 * qkv - lo * qkk) + lam)
+        X[i:j] = Xa + solver._cubic(*q, taus_r[i:j] - lo)
+        Xa = Xa + solver._cubic(*q, hi - lo)
     return X
 
 
@@ -1107,6 +1109,23 @@ class TestApplyOperator:
         vv = spec.v_nodes[None, None, :]
         want = (1.0 + 0.3 * np.sin(vv)) * np.cos(vv)
         assert np.max(np.abs(out.values - want)) < 1e-10
+
+    def test_non_diagonal_coefficient_in_two_dimensions(self):
+        # u = sin(a v1) sin(b v2) with constant A: Pu = -A:Dv^2 u
+        # = (A11 a^2 + A22 b^2) u - 2 A12 a b cos(a v1) cos(b v2)
+        spec = GridSpec(d=2, n_t=5, n_x=4, n_v=8, t_lo=0.0, t_hi=1.0,
+                        L_x=2.0, L_v=math.pi)
+        A = np.array([[1.2, 0.4], [0.4, 0.8]])
+        a, b = 1.0, 2.0
+        u = GridField.from_callable(
+            spec, lambda t, xs, vs: np.sin(a * vs[0]) * np.sin(b * vs[1]) + 0.0 * t)
+        out = apply_operator(CoefficientField(kind="constant_spd", d=2, delta=0.5,
+                                              matrix=A), None, u)
+        want = GridField.from_callable(
+            spec, lambda t, xs, vs: (A[0, 0] * a * a + A[1, 1] * b * b)
+            * np.sin(a * vs[0]) * np.sin(b * vs[1])
+            - 2.0 * A[0, 1] * a * b * np.cos(a * vs[0]) * np.cos(b * vs[1]) + 0.0 * t)
+        assert np.max(np.abs(out.values - want.values)) < 1e-12
 
     def test_dimension_mismatch_raises(self):
         spec = GridSpec(d=1, n_t=5, n_x=4, n_v=8, t_lo=0.0, t_hi=1.0,

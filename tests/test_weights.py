@@ -14,6 +14,7 @@ from kfplab.weights import (
     ProductWeight,
     Weight1D,
     _box_radii,
+    _weight_power_average,
     ap_constant_1d,
     kinetic_ap_functional,
     product_weight_eval,
@@ -133,6 +134,34 @@ class TestApConstant:
         want = integrate.quad(lambda x: abs(x) ** alpha, a, b,
                               points=[0.0] if a < 0.0 < b else None)[0] / (b - a)
         assert w.cell_average(a, b) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("w", [
+        Weight1D(kind="constant", level=2.5),
+        Weight1D(kind="step", breaks=(-0.7,), levels=(1.0, 9.0)),
+        Weight1D(kind="step", breaks=(-0.7, 1.3), levels=(2.0, 0.5, 3.0)),
+        Weight1D(kind="tabulated", xs=(-1.0, 0.2, 0.5, 2.0), values=(1.0, 4.0, 0.3, 2.5)),
+    ], ids=["constant", "step1", "step2", "tabulated"])
+    @pytest.mark.parametrize("s", [1.0, -1.0, -2.0, -0.5])
+    @pytest.mark.parametrize("a,b", [(-4.0, 0.0), (-1.5, 3.0), (0.1, 0.4), (-0.9, 1.4), (3.0, 5.0)])
+    def test_piecewise_average_matches_quadrature(self, w, s, a, b):
+        # constant, step and tabulated weights are averaged exactly, piece
+        # by piece between their knots, on intervals that straddle them
+        knots = [x for x in w.breaks + w.xs if a < x < b]
+        want = integrate.quad(lambda x: float(w.eval(x)) ** s, a, b, points=knots or None,
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0] / (b - a)
+        assert _weight_power_average(w, s, a, b) == pytest.approx(want, rel=1e-12)
+        if s == 1.0:
+            assert w.cell_average(a, b) == pytest.approx(want, rel=1e-12)
+
+    def test_step_average_across_a_jump(self):
+        # (3.3 * 1 + 0.7 * 9) / 4; the scan's former stop test read 2.5
+        w = Weight1D(kind="step", breaks=(-0.7,), levels=(1.0, 9.0))
+        assert _weight_power_average(w, 1.0, -4.0, 0.0) == pytest.approx(2.4, rel=1e-14)
+
+    def test_two_step_weight_scan_is_exact(self):
+        # the largest quotient sits on [0, 2]: avg w = 11/8, avg 1/w = 17/12
+        w = Weight1D(kind="step", breaks=(-0.7, 1.3), levels=(2.0, 0.5, 3.0))
+        assert ap_constant_1d(w, 2.0) == pytest.approx(187.0 / 96.0, rel=1e-14)
 
     def test_p_must_exceed_one(self):
         with pytest.raises(ValueError):

@@ -179,10 +179,8 @@ _NORM = {
 _SOLVER = {
     "type": "object",
     "properties": {
-        "exponent_cut": {"type": "number", "exclusiveMinimum": 0},
         "quad_order": {"type": "integer", "minimum": 4},
         "h0": {"type": "number", "exclusiveMinimum": 0},
-        "h_max": {"type": "number", "exclusiveMinimum": 0},
         "growth": {"type": "number", "exclusiveMinimum": 1},
     },
     "additionalProperties": False,

@@ -35,14 +35,16 @@ __all__ = [
 _KINDS = ("constant_spd", "time_piecewise", "smooth_variable", "landau_like")
 
 
-def _check_symmetric(m: np.ndarray, what: str) -> np.ndarray:
+def _check_spd(m: np.ndarray, d: int) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
+    if m.shape != (d, d):
+        raise ValueError(f"coefficient matrix must be {d} x {d}, not {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} must be finite")
+        raise ValueError("coefficient matrix must be finite")
     if not np.array_equal(m, m.T):
-        raise ValueError(f"{what} must be symmetric")
+        raise ValueError("coefficient matrix must be symmetric")
+    if not np.linalg.eigvalsh(m)[0] > 0:
+        raise ValueError("coefficient matrix must be positive definite")
     return m
 
 
@@ -76,12 +78,15 @@ class CoefficientField:
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if self.kind == "constant_spd":
-            object.__setattr__(self, "matrix", _check_symmetric(self.matrix, "coefficient matrix"))
+            object.__setattr__(self, "matrix", _check_spd(self.matrix, self.d))
         if self.kind == "time_piecewise":
             if len(self.matrices) != len(self.breakpoints) + 1:
                 raise ValueError("time_piecewise needs len(matrices) == len(breakpoints) + 1")
+            bp = np.asarray(self.breakpoints, dtype=float)
+            if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+                raise ValueError("breakpoints must be finite and strictly increasing")
             object.__setattr__(self, "matrices", tuple(
-                _check_symmetric(m, "coefficient matrix") for m in self.matrices))
+                _check_spd(m, self.d) for m in self.matrices))
         if self.kind == "smooth_variable" and self.fn is None:
             raise ValueError("smooth_variable needs fn")
         if self.kind == "landau_like" and not 0.0 < self.mu1 <= self.mu2:

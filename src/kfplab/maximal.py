@@ -17,10 +17,8 @@ depend on how many fields are swept together.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,17 +234,8 @@ def _stack(corpus) -> tuple[GridSpec, np.ndarray]:
     return spec, np.stack([f.values for f in corpus])
 
 
-def _append_csv(path, row: dict) -> None:
-    fresh = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        if fresh:
-            writer.writeheader()
-        writer.writerow(row)
-
-
 def _ratio_rows(kind: str, corpus, nspec: MixedNormSpec, c: float,
-                fam: CylinderFamily | None, corpus_id, csv_path):
+                fam: CylinderFamily | None):
     if nspec.weight is not None and math.isfinite(nspec.weight.K):
         if not nspec.weight.validate_constants()["ok"]:
             raise ValueError("weight constants exceed the declared bound")
@@ -263,27 +252,19 @@ def _ratio_rows(kind: str, corpus, nspec: MixedNormSpec, c: float,
         ratios.append(ng / nf if kind == "hl" else (math.inf if ng == 0.0 else nf / ng))
     if not ratios:
         raise ValueError("corpus contains no field with a nonzero norm")
-    best = float(max(ratios))
-    if csv_path is not None:
-        _append_csv(csv_path, {
-            "corpus_id": corpus_id, "p": nspec.p,
-            "r": "|".join(str(ri) for ri in nspec.r), "q": nspec.q,
-            "c": c, "ratio": best, "corpus_size": len(ratios)})
-    return best
+    return float(max(ratios))
 
 
 def hl_check(corpus, nspec: MixedNormSpec, c: float = 1.0,
-             fam: CylinderFamily | None = None, corpus_id="hl",
-             csv_path=None) -> float:
+             fam: CylinderFamily | None = None) -> float:
     """Max over the corpus of mixed_norm(maximal f) / mixed_norm(f)."""
-    return _ratio_rows("hl", corpus, nspec, c, fam, corpus_id, csv_path)
+    return _ratio_rows("hl", corpus, nspec, c, fam)
 
 
 def fs_check(corpus, nspec: MixedNormSpec, c: float = 1.0,
-             fam: CylinderFamily | None = None, corpus_id="fs",
-             csv_path=None) -> float:
+             fam: CylinderFamily | None = None) -> float:
     """Max over the corpus of mixed_norm(f) / mixed_norm(sharp f)."""
-    return _ratio_rows("fs", corpus, nspec, c, fam, corpus_id, csv_path)
+    return _ratio_rows("fs", corpus, nspec, c, fam)
 
 
 def _bump(s: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ graded geometrically away from tau = 0 and from each cut where the kernel
 steepens, split at every cut and profile jump, and contracted in blocks of
 at most _BLOCK lattice elements: one kernel and one product per piece
 present, and exp(-X_t(ta)) once per row and segment.  Each factor is cut to
-zero where its exponent passes SolveConfig.exponent_cut, and a piece stops
+zero where its exponent passes _EXPONENT_CUT, and a piece stops
 at its first block wholly past the cut, as the exponent never decreases
 along tau.  A pulse's truncation points are no jumps: it is below e^{-72}
 of its peak there, the size of the truncation itself.  A source kind
@@ -72,8 +72,10 @@ from .grids import (GridField, GridSpec, fft_integers, node_phase, on_axis,
                     wavenumbers)
 from .norms import second_derivatives, spectral_derivative, transport_derivative
 
-_PULSE_CUT = 12.0  # pulse support is truncated at this many widths
-_BLOCK = 1 << 15   # lattice elements per contraction block of _history
+_PULSE_CUT = 12.0     # pulse support is truncated at this many widths
+_BLOCK = 1 << 15      # lattice elements per contraction block of _history
+_EXPONENT_CUT = 40.0  # kernel factors below e^{-40} are dropped
+_H_MAX = 2.0          # longest history panel
 
 
 @lru_cache(maxsize=None)
@@ -294,28 +296,20 @@ def _gausscos_hat(k, c, sigma, m, phi):
 class SolveConfig:
     """Numerical knobs for the history quadrature."""
 
-    exponent_cut: float = 40.0
     quad_order: int = 8
     h0: float | None = None
-    h_max: float = 2.0
     growth: float = 1.3
-    grid_source_interpolation: bool = False
 
     def __post_init__(self):
-        if not self.exponent_cut > 0:
-            raise ValueError("exponent cutoff must be positive")
         if self.quad_order < 4:
             raise ValueError("quadrature order must be at least 4")
         if not self.growth > 1:
             raise ValueError("panel growth factor must exceed 1")
-        if not self.h_max > 0:
-            raise ValueError("h_max must be positive")
-        if self.h0 is not None and not 0 < self.h0 <= self.h_max:
-            raise ValueError("h0 must lie in (0, h_max]")
+        if self.h0 is not None and not 0 < self.h0 <= _H_MAX:
+            raise ValueError(f"h0 must lie in (0, {_H_MAX}]")
 
 
-def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=(),
-            origins=()):
+def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_spans=(), origins=()):
     """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0 and
     afresh from each origin, split at the edges and uniformly refined over
     each (lo, hi, step) span.  Returns consecutive (a, b) pairs."""
@@ -327,7 +321,7 @@ def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=(),
             tau = base = starts.pop(0)
         if tau > tau_lo:
             pts.add(tau)
-        h = min(max(h0, (growth - 1.0) * (tau - base)), h_max)
+        h = min(max(h0, (growth - 1.0) * (tau - base)), _H_MAX)
     for e in edges:
         if tau_lo < e < tau_hi:
             pts.add(e)
@@ -341,14 +335,14 @@ def _panels(tau_lo, tau_hi, h0, h_max, growth, edges=(), fine_spans=(),
     return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
 
-def _default_h0(rate, lam, ks, xis, h_max):
+def _default_h0(rate, lam, ks, xis):
     """First panel: two e-folds of the kernel at A's top eigenvalue."""
     ximax2 = sum(float(np.max(x ** 2)) for x in xis)
     kmax2 = sum(float(np.max(k ** 2)) for k in ks)
     h = 2.0 / (rate * ximax2 + lam + 1.0)
     if kmax2 > 0:
         h = min(h, (6.0 / (rate * kmax2)) ** (1.0 / 3.0))
-    return min(h, h_max)
+    return min(h, _H_MAX)
 
 
 def _axis_modes(n: int, half: bool = False) -> np.ndarray:
@@ -434,8 +428,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
                     else ((a.matrix,), ()))
     rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis,
-                                                       cfg.h_max)
+    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis)
     quads = [_quadratics(m, ks, xis) for m in mats]
     # going back across these the kernel steepens, so the ladder restarts
     steeper = [b for b, older, newer in zip(breaks, rates, rates[1:])
@@ -454,9 +447,9 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
         tau_hi = ts[-1] - lo
         cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
         fine = [(ts[0] - hi, tau_hi, fine_step)] if fine_step is not None else []
-        panels = _panels(max(0.0, ts[0] - hi), tau_hi, h0, cfg.h_max,
-                         cfg.growth, cuts + [t - s for t in ts for s in knots],
-                         fine, [t - b for t in ts for b in steeper])
+        panels = _panels(max(0.0, ts[0] - hi), tau_hi, h0, cfg.growth,
+                         cuts + [t - s for t in ts for s in knots], fine,
+                         [t - b for t in ts for b in steeper])
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
         wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
@@ -467,7 +460,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
         for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:]):
             piece = np.searchsorted(breaks, ts - 0.5 * (ta + tb), side="right")
             alive = (np.ones(len(ts), dtype=bool) if not ta else
-                     ~np.all(X > cfg.exponent_cut, axis=tuple(range(1, X.ndim))))
+                     ~np.all(X > _EXPONENT_CUT, axis=tuple(range(1, X.ndim))))
             runs = [(j, slice(m[0], m[-1] + 1)) for j in np.unique(piece[alive])
                     for m in [np.flatnonzero((piece == j) & alive)]]
             if not runs:
@@ -481,7 +474,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                 n, W, kept = min(block, s1 - b), None, []
                 for j, sl in active:
                     K = _cubic(*q[j], taus_r[b:b + n] - ta, work_x[:n])
-                    past = K > cfg.exponent_cut
+                    past = K > _EXPONENT_CUT
                     if past.all():
                         continue
                     kept.append((j, sl))
@@ -498,7 +491,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                     break
             for j, sl in runs:
                 if ta:
-                    group[sl] += acc[sl] * np.where(X[sl] > cfg.exponent_cut,
+                    group[sl] += acc[sl] * np.where(X[sl] > _EXPONENT_CUT,
                                                     0.0, np.exp(-X[sl]))
                 if tb < tau_hi:
                     X[sl] += _cubic(*q[j], tb - ta)
@@ -544,8 +537,8 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     """Solution of u_t - v.Dx u - a(t):Dv^2 u + lam u = f on the periodic
     box of out_spec, evaluated at its time nodes.
 
-    f is an AnalyticSource, or a GridField if the config opts into
-    interpolation.  The source history must start at a finite time; the
+    f is an AnalyticSource, or a GridField interpolated linearly between its
+    time slices.  The source history must start at a finite time; the
     solution below it is identically zero.
     """
     cfg = config if config is not None else SolveConfig()
@@ -562,7 +555,7 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     history = partial(_history, a, lam, cfg, out_spec.t_nodes)
     ks, xis = _half_lattice(out_spec)
     if isinstance(f, GridField):
-        _check_sampled(f, out_spec, cfg)
+        _check_sampled(f, out_spec)
         s, terms = f.spec, ()
         half = history(ks, xis, (s.t_lo, s.t_hi),
                        _sampled_transform(f, ks[0], xis[0]), knots=s.t_nodes)
@@ -611,13 +604,9 @@ def _check_mode(fac: SpaceFactor, spec: GridSpec) -> None:
         raise ValueError("v_mode frequency beyond the grid Nyquist")
 
 
-def _check_sampled(g: GridField, spec: GridSpec, cfg: SolveConfig) -> None:
-    """A sampled source must be opted into, since it is interpolated between
-    its slices, and must share the output grid's position and velocity axes."""
-    if not cfg.grid_source_interpolation:
-        raise ValueError("a sampled source is only an approximation; pass a "
-                         "SolveConfig with grid_source_interpolation=True to "
-                         "accept interpolation between its slices")
+def _check_sampled(g: GridField, spec: GridSpec) -> None:
+    """A sampled source must share the output grid's position and velocity
+    axes and hold at least two slices to interpolate between."""
     if spec.d != 1 or g.spec.d != 1:
         raise ValueError("sampled sources are supported in dimension 1 only")
     s = g.spec

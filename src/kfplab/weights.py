@@ -46,6 +46,12 @@ __all__ = [
 _N_BATCHES = 20  # batches behind kinetic_ap_functional's standard error
 
 
+def _check_increasing(knots, what: str) -> None:
+    k = np.asarray(knots, dtype=float)
+    if not (np.all(np.isfinite(k)) and np.all(np.diff(k) > 0)):
+        raise ValueError(f"{what} must be finite and strictly increasing")
+
+
 @dataclass(frozen=True)
 class Weight1D:
     """One-dimensional weight with a declared Muckenhoupt class exponent.
@@ -81,11 +87,13 @@ class Weight1D:
                 raise ValueError("step weight needs len(levels) == len(breaks) + 1")
             if any(not l > 0 for l in self.levels):
                 raise ValueError("step weight levels must be positive")
+            _check_increasing(self.breaks, "step weight breaks")
         if self.kind == "tabulated":
             if len(self.xs) != len(self.values) or len(self.xs) < 2:
                 raise ValueError("tabulated weight needs matching xs/values, at least two samples")
             if any(not v > 0 for v in self.values):
                 raise ValueError("tabulated weight samples must be positive")
+            _check_increasing(self.xs, "tabulated weight xs")
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -2,6 +2,7 @@
 reproducibility of CSV output under identical config and seed."""
 
 import csv
+import dataclasses
 import math
 import os
 import shutil
@@ -15,11 +16,12 @@ import yaml
 from jsonschema.validators import validator_for
 
 import kfplab
+from kfplab import cli
 from kfplab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, SCHEMAS, main
 from kfplab.coefficients import CoefficientField
-from kfplab.grids import GridField
-from kfplab.solver import (AnalyticSource, SourceTerm, SpaceFactor,
-                           TimeProfile, solve_duhamel)
+from kfplab.grids import GridField, GridSpec
+from kfplab.solver import (AnalyticSource, SolveConfig, SourceTerm,
+                           SpaceFactor, TimeProfile, solve_duhamel)
 
 
 def _write(tmp_path, name, payload):
@@ -170,6 +172,32 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "does not match grid" in capsys.readouterr().err
 
+    # a v_mode solve at value 0 or -1 used to exit 0 (at -1 a backward heat
+    # flow), a gaussian one died with a traceback, and unsorted breakpoints
+    # picked the last piece between them
+    @pytest.mark.parametrize("coefficients", [
+        {"kind": "constant_spd", "value": 0.0, "delta": 0.5},
+        {"kind": "constant_spd", "value": -1.0, "delta": 0.5},
+        {"kind": "time_piecewise", "breakpoints": [0.6, 0.3],
+         "values": [1.0, 2.0, 0.5], "delta": 0.4},
+    ], ids=["zero", "negative", "unsorted"])
+    def test_unusable_coefficients_are_config_error(self, tmp_path, capsys,
+                                                    coefficients):
+        payload = _steady_solve_config()
+        payload["coefficients"] = coefficients
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: coefficients:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["exponent_cut", "h_max"])
+    def test_fixed_solver_constants_are_not_settable(self, tmp_path, capsys,
+                                                     key):
+        payload = _steady_solve_config()
+        payload["solver"] = {key: 1.0}
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "schema violation at solver" in capsys.readouterr().err
+
     def test_vmo_center_dimensions_must_agree(self, tmp_path, capsys):
         cfg = _write(tmp_path, "vmo.yaml", {
             "coefficients": {"kind": "constant_spd", "delta": 0.4, "value": 1.0},
@@ -278,6 +306,18 @@ class TestVerifyEstimateCommand:
                      str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "wrong number of velocity factors" in capsys.readouterr().err
+
+    def test_unsorted_step_breaks_are_config_error(self, tmp_path, capsys):
+        payload = _estimate_config()
+        payload["norm"]["weight"] = {
+            "t": {"kind": "step", "breaks": [0.6, 0.3],
+                  "levels": [1.0, 2.0, 0.5]},
+            "v": [{"kind": "constant"}]}
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "config error: norm:" in capsys.readouterr().err
 
     def test_refined_solver_runs(self, tmp_path):
         payload = _estimate_config()
@@ -421,6 +461,25 @@ class TestReportCommand:
         assert "estimate.csv" in rows and "weights_ap.csv" in rows
         assert float(rows["estimate.csv"]["max_ratio"]) > 0.0
 
+    def test_merges_the_listed_inputs(self, tmp_path):
+        (tmp_path / "a.csv").write_text("ratio\n1.5\n2.5\n")
+        (tmp_path / "b.csv").write_text("kind\nhl\n")
+        (tmp_path / "unlisted.csv").write_text("ratio\n9.0\n")
+        rcfg = _write(tmp_path, "r.yaml", {"inputs": ["a.csv", "b.csv"]})
+        assert main(["report", "--config", rcfg, "--out",
+                     str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"file": "a.csv", "rows": "2", "max_ratio": "2.5"},
+                        {"file": "b.csv", "rows": "1", "max_ratio": ""}]
+
+    def test_missing_input_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("ratio\n1.5\n")
+        rcfg = _write(tmp_path, "r.yaml", {"inputs": ["a.csv", "gone.csv"]})
+        assert main(["report", "--config", rcfg, "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read" in capsys.readouterr().err
+
     def test_empty_directory_is_config_error(self, tmp_path, capsys):
         rcfg = _write(tmp_path, "r.yaml", {})
         empty = tmp_path / "empty"
@@ -433,6 +492,15 @@ def test_every_command_schema_passes_the_metaschema():
     # configs are validated without re-checking the schema on each load
     for schema in SCHEMAS.values():
         validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("schema,cls", [
+    (cli._GRID, GridSpec), (cli._PROFILE, TimeProfile),
+    (cli._FACTOR, SpaceFactor), (cli._SOLVER, SolveConfig),
+], ids=["grid", "profile", "factor", "solver"])
+def test_schema_keys_are_the_dataclass_fields(schema, cls):
+    # the CLI passes these sections to the dataclasses as keyword arguments
+    assert set(schema["properties"]) == {f.name for f in dataclasses.fields(cls)}
 
 
 class TestFlagValidation:

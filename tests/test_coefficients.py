@@ -63,6 +63,30 @@ class TestEllipticity:
                              breakpoints=(0.3,),
                              matrices=(np.eye(1), np.array([[bad]])))
 
+    @pytest.mark.parametrize("breakpoints", [(0.6, 0.3), (0.3, 0.3), (0.3, math.nan), (-math.inf, 0.3)])
+    def test_breakpoints_must_be_finite_and_strictly_increasing(self, breakpoints):
+        # with (0.6, 0.3), eval at t = 0.45 used to pick the last piece
+        with pytest.raises(ValueError, match="breakpoints must be finite and strictly increasing"):
+            CoefficientField(kind="time_piecewise", d=1, delta=0.5, breakpoints=breakpoints,
+                             matrices=(np.eye(1), 2.0 * np.eye(1), 0.5 * np.eye(1)))
+
+    def test_matrix_must_match_the_dimension(self):
+        with pytest.raises(ValueError, match="coefficient matrix must be 2 x 2"):
+            _const(np.eye(1), delta=0.5, d=2)
+        with pytest.raises(ValueError, match="coefficient matrix must be 1 x 1"):
+            CoefficientField(kind="time_piecewise", d=1, delta=0.5, breakpoints=(0.3,),
+                             matrices=(np.eye(1), np.eye(2)))
+
+    @pytest.mark.parametrize("matrix", [[[0.0]], [[-1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                                        [[1.0, 2.0], [2.0, 1.0]]])
+    def test_matrix_must_be_positive_definite(self, matrix):
+        m = np.asarray(matrix, dtype=float)
+        with pytest.raises(ValueError, match="coefficient matrix must be positive definite"):
+            _const(m, delta=0.5)
+        with pytest.raises(ValueError, match="coefficient matrix must be positive definite"):
+            CoefficientField(kind="time_piecewise", d=len(m), delta=0.5, breakpoints=(0.3,),
+                             matrices=(np.eye(len(m)), m))
+
     def test_asymmetric_smooth_field_rejected_by_check(self):
         def fn(t, x, v):
             out = np.zeros(t.shape + (2, 2))

@@ -282,8 +282,7 @@ class TestHalfLattice:
 
         monkeypatch.setattr(SpectralField, "to_grid", no_full_lattice)
         solve_duhamel(_const_a(), 0.4, f, spec)
-        solve_duhamel(_const_a(), 0.4, g, spec,
-                      SolveConfig(grid_source_interpolation=True))
+        solve_duhamel(_const_a(), 0.4, g, spec)
 
     @pytest.mark.parametrize("n_x,n_v", [(6, 7), (8, 8)])
     @pytest.mark.parametrize("piecewise", [False, True])
@@ -297,9 +296,8 @@ class TestHalfLattice:
                                         cv=-0.4),)).sample(src)
         a = (_piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), delta=0.1)
              if piecewise else _const_a(0.9))
-        cfg = SolveConfig(grid_source_interpolation=True)
-        want = _full_lattice_solve(a, 0.2, g, out, cfg)
-        got = solve_duhamel(a, 0.2, g, out, cfg).values
+        want = _full_lattice_solve(a, 0.2, g, out)
+        got = solve_duhamel(a, 0.2, g, out).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -311,7 +309,7 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
     mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
     rates = [np.linalg.eigvalsh(m)[-1] for m in mats]
     h0 = cfg.h0 if cfg.h0 is not None else solver._default_h0(
-        max(rates), lam, ks, xis, cfg.h_max)
+        max(rates), lam, ks, xis)
     # the ladder restarts where the kernel steepens going back in tau
     steeper = [b for b, older, newer in zip(a.breakpoints, rates, rates[1:])
                if older > newer]
@@ -327,12 +325,12 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
         fine = ([(t_out - hi, t_out - lo, fine_step)]
                 if fine_step is not None else [])
         for p_lo, p_hi in solver._panels(max(0.0, t_out - hi), t_out - lo, h0,
-                                         cfg.h_max, cfg.growth, edges, fine,
+                                         cfg.growth, edges, fine,
                                          [t_out - b for b in steeper]):
             taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
             taus_r = taus.reshape((-1,) + (1,) * len(lattice))
             X = lam * taus_r + _all_pieces_exponent(pieces, taus_r)
-            K = np.where(X <= cfg.exponent_cut, np.exp(-X), 0.0)
+            K = np.where(X <= solver._EXPONENT_CUT, np.exp(-X), 0.0)
             weights, shifted = source(t_out, taus)
             acc += np.tensordot(0.5 * (p_hi - p_lo) * gl_w * weights,
                                 K * shifted, axes=(0, 0))
@@ -498,7 +496,7 @@ class TestBlockedQuadrature:
                                             cv=-0.4),)).sample(GridSpec(
                 d=1, n_t=41, n_x=8, n_v=7, t_lo=-1.0, t_hi=1.2, L_x=3.0,
                 L_v=2.5))
-            lam, cfg = 25.0, SolveConfig(grid_source_interpolation=True)
+            lam = 25.0
         else:
             spec = GridSpec(d=d, n_t=4, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
                             L_x=3.0, L_v=2.5)
@@ -556,11 +554,9 @@ class TestBlockedQuadrature:
                         L_x=3.0, L_v=2.5)
         t = spec.t_nodes
         pulse = AnalyticSource((_pulse_term(0.6, 0.02),))
-        cfg = SolveConfig()
         if case == "sampled":
             f = pulse.sample(GridSpec(d=1, n_t=41, n_x=6, n_v=7, t_lo=0.36,
                                       t_hi=1.0, L_x=3.0, L_v=2.5))
-            cfg = SolveConfig(grid_source_interpolation=True)
             want = {(ti,) for ti in t[3:]}
         else:
             f = pulse
@@ -579,7 +575,7 @@ class TestBlockedQuadrature:
                            *args, **kw)
 
         monkeypatch.setattr(solver, "_history", recorded)
-        solve_duhamel(a, 0.4, f, spec, cfg)
+        solve_duhamel(a, 0.4, f, spec)
         assert seen == want
 
 
@@ -759,7 +755,7 @@ class TestSolveInvariants:
         assert np.all(c00.real >= -1e-13 * mass)
         assert np.all(np.diff(c00.real) >= -1e-12 * mass)
 
-    def test_exponent_cut_is_sound(self):
+    def test_exponent_cut_is_sound(self, monkeypatch):
         spec = GridSpec(d=1, n_t=5, n_x=16, n_v=24, t_lo=0.0, t_hi=1.0,
                         L_x=8.0, L_v=6.0)
         # the always-on velocity mode runs its exponent omega^2 tau past 20
@@ -768,8 +764,9 @@ class TestSolveInvariants:
             SourceTerm(TimeProfile(kind="boxcar", start=-26.0, stop=4.0),
                        SpaceFactor(kind="v_mode", mode_freq=(math.pi / 3.0,)))))
         a = _const_a()
-        u40 = solve_duhamel(a, 0.0, f, spec, SolveConfig(exponent_cut=40.0))
-        u20 = solve_duhamel(a, 0.0, f, spec, SolveConfig(exponent_cut=20.0))
+        u40 = solve_duhamel(a, 0.0, f, spec)
+        monkeypatch.setattr(solver, "_EXPONENT_CUT", 20.0)
+        u20 = solve_duhamel(a, 0.0, f, spec)
         scale = np.max(np.abs(u40.values))
         assert np.max(np.abs(u40.values - u20.values)) < 1e-8 * scale
 
@@ -1006,15 +1003,11 @@ class TestSolveInvariants:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolveConfig(h_max=0.0)
-        with pytest.raises(ValueError):
-            SolveConfig(exponent_cut=0.0)
-        with pytest.raises(ValueError):
             SolveConfig(quad_order=3)
         with pytest.raises(ValueError):
             SolveConfig(growth=1.0)
         with pytest.raises(ValueError):
-            SolveConfig(h0=3.0, h_max=2.0)
+            SolveConfig(h0=3.0)
 
 
 class TestResidualClosure:
@@ -1188,17 +1181,11 @@ class TestSampledSourcePath:
                             t_hi=1.2, L_x=7.0, L_v=4.5)
         return out, f, f.sample(src_spec)
 
-    def test_interpolation_must_be_opted_into(self):
-        out, _, g = self._setup()
-        with pytest.raises(ValueError, match="grid_source_interpolation"):
-            solve_duhamel(_const_a(), 0.2, g, out)
-
     def test_matches_analytic_path(self):
         out, f, g = self._setup()
         a = _const_a(0.9)
         u_ref = solve_duhamel(a, 0.2, f, out)
-        u_grd = solve_duhamel(a, 0.2, g, out,
-                              SolveConfig(grid_source_interpolation=True))
+        u_grd = solve_duhamel(a, 0.2, g, out)
         scale = np.max(np.abs(u_ref.values))
         assert np.max(np.abs(u_ref.values - u_grd.values)) < 5e-3 * scale
 
@@ -1222,8 +1209,7 @@ class TestSampledSourcePath:
         bad = GridSpec(d=1, n_t=out.n_t, n_x=out.n_x, n_v=out.n_v,
                        t_lo=0.0, t_hi=1.2, L_x=8.0, L_v=4.5)
         with pytest.raises(ValueError, match="share"):
-            solve_duhamel(_const_a(), 0.2, g, bad,
-                          SolveConfig(grid_source_interpolation=True))
+            solve_duhamel(_const_a(), 0.2, g, bad)
 
 
 class TestScalingConjugation:

@@ -122,6 +122,14 @@ class TestApConstant:
         with pytest.raises(ValueError):
             Weight1D(kind="tabulated", xs=(0.0, 1.0), values=(1.0, -2.0))
 
+    @pytest.mark.parametrize("knots", [(1.0, -1.0), (0.5, 0.5), (0.0, math.inf), (math.nan, 1.0)])
+    def test_knots_must_be_finite_and_strictly_increasing(self, knots):
+        # breaks (1, -1) used to hide level 5, and xs (1, 0) read 3 at 0.5
+        with pytest.raises(ValueError, match="step weight breaks must be finite and strictly increasing"):
+            Weight1D(kind="step", breaks=knots, levels=(1.0, 5.0, 2.0))
+        with pytest.raises(ValueError, match="tabulated weight xs must be finite and strictly increasing"):
+            Weight1D(kind="tabulated", xs=knots, values=(1.0, 3.0))
+
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 2.0])
     @pytest.mark.parametrize("a,b", [(1.0, 2.5), (-3.0, -0.5), (-1.0, 2.0)])
     def test_power_cell_average_matches_quadrature(self, alpha, a, b):

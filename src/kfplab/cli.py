@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -23,13 +24,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 from .coefficients import CoefficientField
 from .geometry import PhasePoint, QuasiMetricParams, quasi_distance_batch
 from .grids import GridSpec
 from .maximal import fs_check, hl_check, make_corpus
-from .norms import MixedNormSpec
+from .norms import MixedNormSpec, check_transport_grid
 from .solver import (AnalyticSource, SolveConfig, SourceTerm, SpaceFactor,
                      TimeProfile, solve_duhamel)
 from .verification import EstimateReport, random_source_corpus, solve_corpus
@@ -60,21 +61,30 @@ _COMMON = {
     "workers": {"type": "integer", "minimum": 1},
 }
 
-_GRID = {
-    "type": "object",
-    "properties": {
-        "d": {"type": "integer", "minimum": 1},
-        "n_t": {"type": "integer", "minimum": 1},
-        "n_x": {"type": "integer", "minimum": 1},
-        "n_v": {"type": "integer", "minimum": 1},
-        "t_lo": {"type": "number"},
-        "t_hi": {"type": "number"},
-        "L_x": {"type": "number", "exclusiveMinimum": 0},
-        "L_v": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["d", "n_t", "n_x", "n_v", "t_lo", "t_hi", "L_x", "L_v"],
-    "additionalProperties": False,
-}
+_NUMS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+_TYPES = {"int": {"type": "integer"}, "float": {"type": "number"},
+          "float | None": {"type": "number"}, "str": {"type": "string"},
+          "tuple": _NUMS}
+
+
+def _fields_schema(cls) -> dict:
+    """The section that cls(**section) takes: exactly its fields, typed by
+    annotation, those without a default required.  cls checks the values."""
+    fields = dataclasses.fields(cls)
+    return {
+        "type": "object",
+        "properties": {f.name: _TYPES[f.type] for f in fields},
+        "required": [f.name for f in fields
+                     if f.default is dataclasses.MISSING],
+        "additionalProperties": False,
+    }
+
+
+_GRID = _fields_schema(GridSpec)
+_PROFILE = _fields_schema(TimeProfile)
+_FACTOR = _fields_schema(SpaceFactor)
+_SOLVER = _fields_schema(SolveConfig)
 
 _COEFF = {
     "type": "object",
@@ -87,37 +97,6 @@ _COEFF = {
         "values": {"type": "array", "items": {"type": "number"}},
     },
     "required": ["kind", "delta"],
-    "additionalProperties": False,
-}
-
-_PROFILE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["boxcar", "pulse"]},
-        "start": {"type": "number"},
-        "stop": {"type": "number"},
-        "center": {"type": "number"},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "poly": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_NUMS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
-_FACTOR = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["gaussian", "v_mode"]},
-        "amplitude": {"type": "number"},
-        "x_center": _NUMS, "x_sigma": {"type": "number", "exclusiveMinimum": 0},
-        "x_freq": _NUMS, "x_phase": _NUMS,
-        "v_center": _NUMS, "v_sigma": {"type": "number", "exclusiveMinimum": 0},
-        "v_freq": _NUMS, "v_phase": _NUMS,
-        "mode_freq": _NUMS, "mode_phase": {"type": "number"},
-    },
-    "required": ["kind"],
     "additionalProperties": False,
 }
 
@@ -173,16 +152,6 @@ _NORM = {
         },
     },
     "required": ["p", "r", "q"],
-    "additionalProperties": False,
-}
-
-_SOLVER = {
-    "type": "object",
-    "properties": {
-        "quad_order": {"type": "integer", "minimum": 4},
-        "h0": {"type": "number", "exclusiveMinimum": 0},
-        "growth": {"type": "number", "exclusiveMinimum": 1},
-    },
     "additionalProperties": False,
 }
 
@@ -306,6 +275,12 @@ SCHEMAS = {
 }
 
 
+# JSON Schema's integer admits 2.0, which no integer key can use
+_Draft = validator_for({})
+_Validator = extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
+    "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+
+
 def _load_config(command: str, path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -320,19 +295,21 @@ def _load_config(command: str, path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     # jsonschema.validate's error choice, minus its per-call metaschema check
-    schema = SCHEMAS[command]
-    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
+    error = best_match(_Validator(SCHEMAS[command]).iter_errors(cfg))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"schema violation at {where}: {error.message}")
     return cfg
 
 
-def _build_grid(cfg: dict) -> GridSpec:
+def _build(cls, section: str, values: dict):
+    """cls(**values) with lists passed as tuples; a value that cls rejects
+    is a config error of the section."""
     try:
-        return GridSpec(**cfg)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in values.items()})
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _build_coefficients(cfg: dict, d: int) -> CoefficientField:
@@ -367,59 +344,56 @@ def _build_coefficients(cfg: dict, d: int) -> CoefficientField:
 
 
 def _build_source(cfg: dict) -> AnalyticSource:
-    try:
-        terms = []
-        for term in cfg["terms"]:
-            prof = TimeProfile(**{k: (tuple(v) if isinstance(v, list) else v)
-                                  for k, v in term["profile"].items()})
-            fac = SpaceFactor(**{k: (tuple(v) if isinstance(v, list) else v)
-                                 for k, v in term["factor"].items()})
-            terms.append(SourceTerm(prof, fac))
-        return AnalyticSource(tuple(terms))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"source: {exc}") from exc
-
-
-def _build_weight1d(cfg: dict, class_p: float) -> Weight1D:
-    kw = dict(cfg)
-    kind = kw.pop("kind")
-    if "breaks" in kw:
-        kw["breaks"] = tuple(kw["breaks"])
-    if "levels" in kw:
-        kw["levels"] = tuple(kw["levels"])
-    return Weight1D(kind=kind, p=class_p, **kw)
+    terms = tuple(SourceTerm(_build(TimeProfile, "source", term["profile"]),
+                             _build(SpaceFactor, "source", term["factor"]))
+                  for term in cfg["terms"])
+    return _build(AnalyticSource, "source", {"terms": terms})
 
 
 def _build_norm(cfg: dict, d: int) -> MixedNormSpec:
-    try:
-        r = tuple(cfg["r"])
-        if len(r) != d:
-            raise ConfigError(f"norm lists {len(r)} velocity exponents for "
-                              f"dimension {d}")
-        weight = None
-        if "weight" in cfg:
-            wcfg = cfg["weight"]
-            if len(wcfg["v"]) != d:
-                raise ConfigError("weight lists the wrong number of velocity "
-                                  "factors")
-            weight = ProductWeight(
-                w0=_build_weight1d(wcfg["t"], cfg["q"]),
-                wi=tuple(_build_weight1d(wc, ri)
-                         for wc, ri in zip(wcfg["v"], r)),
-                K=wcfg.get("K", math.inf))
-        return MixedNormSpec(p=cfg["p"], r=r, q=cfg["q"], weight=weight,
-                             T=cfg.get("T", math.inf))
-    except ValueError as exc:
-        raise ConfigError(f"norm: {exc}") from exc
+    r = tuple(cfg["r"])
+    if len(r) != d:
+        raise ConfigError(f"norm lists {len(r)} velocity exponents for "
+                          f"dimension {d}")
+    weight = None
+    if "weight" in cfg:
+        wcfg = cfg["weight"]
+        if len(wcfg["v"]) != d:
+            raise ConfigError("weight lists the wrong number of velocity "
+                              "factors")
+        weight = _build(ProductWeight, "norm", {
+            "w0": _build(Weight1D, "norm", {**wcfg["t"], "p": cfg["q"]}),
+            "wi": tuple(_build(Weight1D, "norm", {**wc, "p": ri})
+                        for wc, ri in zip(wcfg["v"], r)),
+            "K": wcfg.get("K", math.inf)})
+    return _build(MixedNormSpec, "norm", {"p": cfg["p"], "r": r, "q": cfg["q"],
+                                          "weight": weight,
+                                          "T": cfg.get("T", math.inf)})
 
 
-def _build_solver_config(cfg: dict) -> SolveConfig | None:
-    if "solver" not in cfg:
-        return None
-    try:
-        return SolveConfig(**cfg["solver"])
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+def _build_sections(command: str, cfg: dict) -> dict:
+    """The library objects of the config's sections, each checked as it is
+    built, so a dry run rejects what a run would reject."""
+    built = {}
+    if "grid" in cfg:
+        built["grid"] = _build(GridSpec, "grid", cfg["grid"])
+        if command == "verify-estimate":
+            try:
+                check_transport_grid(built["grid"])
+            except ValueError as exc:
+                raise ConfigError(f"grid: {exc}") from exc
+    if "center" in cfg:
+        built["center"] = _build(PhasePoint, "center", cfg["center"])
+    if "coefficients" in cfg:
+        d = built["grid"].d if "grid" in built else built["center"].d
+        built["coefficients"] = _build_coefficients(cfg["coefficients"], d)
+    if "source" in cfg:
+        built["source"] = _build_source(cfg["source"])
+    if "norm" in cfg:
+        built["norm"] = _build_norm(cfg["norm"], built["grid"].d)
+    if "solver" in SCHEMAS[command]["properties"]:
+        built["solver"] = _build(SolveConfig, "solver", cfg.get("solver", {}))
+    return built
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -439,12 +413,12 @@ def _write_rows(path: Path, header: tuple, rows: list) -> None:
             writer.writerow({k: row[k] for k in header})
 
 
-def _cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
-    spec = _build_grid(cfg["grid"])
-    a = _build_coefficients(cfg["coefficients"], spec.d)
-    src = _build_source(cfg["source"])
+def _cmd_solve(cfg: dict, built: dict, out_dir: Path, seed: int,
+               workers: int) -> None:
+    spec = built["grid"]
     try:
-        u = solve_duhamel(a, cfg["lam"], src, spec, _build_solver_config(cfg))
+        u = solve_duhamel(built["coefficients"], cfg["lam"], built["source"],
+                          spec, built["solver"])
     except ValueError as exc:
         raise ConfigError(f"solve: {exc}") from exc
     path = out_dir / cfg.get("dump", "solution.bin")
@@ -454,22 +428,19 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
     print(f"center_slice_max={np.max(np.abs(center)):.15e}")
 
 
-def _cmd_verify_estimate(cfg: dict, out_dir: Path, seed: int,
+def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
                          workers: int) -> None:
-    spec = _build_grid(cfg["grid"])
-    a = _build_coefficients(cfg["coefficients"], spec.d)
-    nspec = _build_norm(cfg["norm"], spec.d)
+    spec, a, nspec = built["grid"], built["coefficients"], built["norm"]
     ccfg = dict(cfg["corpus"])
     n_cases = ccfg.pop("n_cases")
     try:
         corpus = random_source_corpus(seed, n_cases, spec, **ccfg)
     except ValueError as exc:
         raise ConfigError(f"corpus: {exc}") from exc
-    solver_cfg = _build_solver_config(cfg)
-    lam = cfg["lam"]
 
     def one(case):
-        return solve_corpus([case], a, lam, spec, nspec, config=solver_cfg)
+        return solve_corpus([case], a, cfg["lam"], spec, nspec,
+                            config=built["solver"])
 
     try:
         parts = _parallel_map(one, list(corpus), workers)
@@ -491,7 +462,7 @@ def _cmd_verify_estimate(cfg: dict, out_dir: Path, seed: int,
                            f"{cfg['cap']}")
 
 
-def _cmd_geometry_test(cfg: dict, out_dir: Path, seed: int,
+def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
                        workers: int) -> None:
     n = cfg["n_triples"]
     dims = cfg.get("dims", [1, 2, 3])
@@ -528,7 +499,8 @@ def _cmd_geometry_test(cfg: dict, out_dir: Path, seed: int,
             raise CheckFailure("quasi_triangle", f"d={d}: {bad_tri} violations")
 
 
-def _cmd_weights_ap(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _cmd_weights_ap(cfg: dict, built: dict, out_dir: Path, seed: int,
+                    workers: int) -> None:
     p = cfg["p"]
     rows = []
     for alpha in cfg["alphas"]:
@@ -550,10 +522,9 @@ def _cmd_weights_ap(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
                 f"window (-1, {p - 1}) says {in_class}")
 
 
-def _cmd_maximal_bench(cfg: dict, out_dir: Path, seed: int,
+def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path, seed: int,
                        workers: int) -> None:
-    spec = _build_grid(cfg["grid"])
-    nspec = _build_norm(cfg["norm"], spec.d)
+    spec, nspec = built["grid"], built["norm"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     corpus = make_corpus(spec, cfg["corpus"]["n_fields"],
                          cfg["corpus"].get("kind", "band_limited"), rng)
@@ -578,16 +549,11 @@ def _cmd_maximal_bench(cfg: dict, out_dir: Path, seed: int,
                                f"{row['kind']} ratio is {row['ratio']}")
 
 
-def _cmd_vmo(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _cmd_vmo(cfg: dict, built: dict, out_dir: Path, seed: int,
+             workers: int) -> None:
     from .coefficients import osc_prime, osc_xv
     from .geometry import Cylinder
-    a = _build_coefficients(cfg["coefficients"], len(cfg["center"]["x"]))
-    try:
-        center = PhasePoint(t=cfg["center"]["t"],
-                            x=np.asarray(cfg["center"]["x"], dtype=float),
-                            v=np.asarray(cfg["center"]["v"], dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"center: {exc}") from exc
+    a, center = built["coefficients"], built["center"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_pairs = cfg.get("n_pairs", 4000)
     n_slices = cfg.get("n_slices", 16)
@@ -618,7 +584,8 @@ def _cmd_vmo(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
                     f"of a time-only coefficient")
 
 
-def _cmd_report(cfg: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _cmd_report(cfg: dict, built: dict, out_dir: Path, seed: int,
+                workers: int) -> None:
     names = cfg.get("inputs")
     if names:
         paths = [out_dir / name for name in names]
@@ -685,6 +652,7 @@ def main(argv=None) -> int:
             raise ConfigError("workers must be at least one")
         out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
+        built = _build_sections(args.command, cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -692,13 +660,12 @@ def main(argv=None) -> int:
     if args.dry_run:
         print(f"plan: {args.command} config={args.config} out={out_dir} "
               f"seed={seed} workers={workers}")
-        keys = ", ".join(sorted(k for k in cfg
-                                if k not in ("seed", "out", "workers")))
+        keys = ", ".join(sorted(set(cfg) - set(_COMMON)))
         print(f"plan: validated sections: {keys or '<defaults>'}")
         return EXIT_OK
 
     try:
-        _RUNNERS[args.command](cfg, out_dir, seed, workers)
+        _RUNNERS[args.command](cfg, built, out_dir, seed, workers)
     except CheckFailure as exc:
         print(f"FAIL {exc.invariant}: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -64,20 +64,20 @@ class GridSpec:
     L_v: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
+        for name in ("d", "n_t", "n_x", "n_v"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"grid {name} must be at least 1")
         for name in ("t_lo", "t_hi", "L_x", "L_v"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"grid {name} must be finite")
-        if self.n_t < 1 or self.n_x < 1 or self.n_v < 1:
-            raise ValueError("grid extents must be positive")
         if self.n_t == 1:
             if self.t_hi != self.t_lo:
                 raise ValueError("a single time node needs t_lo == t_hi")
         elif not self.t_hi > self.t_lo:
             raise ValueError("time window must have positive length")
-        if not (self.L_x > 0 and self.L_v > 0):
-            raise ValueError("periodic half-lengths must be positive")
+        for name in ("L_x", "L_v"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"grid half-length {name} must be positive")
 
     @property
     def shape(self) -> tuple:

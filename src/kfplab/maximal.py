@@ -236,9 +236,6 @@ def _stack(corpus) -> tuple[GridSpec, np.ndarray]:
 
 def _ratio_rows(kind: str, corpus, nspec: MixedNormSpec, c: float,
                 fam: CylinderFamily | None):
-    if nspec.weight is not None and math.isfinite(nspec.weight.K):
-        if not nspec.weight.validate_constants()["ok"]:
-            raise ValueError("weight constants exceed the declared bound")
     spec, stacked = _stack(corpus)
     fam = _resolve_family(spec, c, nspec.T, fam)
     mode = "maximal" if kind == "hl" else "sharp"

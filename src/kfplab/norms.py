@@ -48,7 +48,8 @@ class MixedNormSpec:
     r holds the velocity exponents (r_1 .. r_d).  weight None means the unit
     product weight.  variant 'x_weighted' integrates |x|^alpha jointly over
     (x, t) innermost and requires alpha in (-1, p-1); the time exponent q is
-    ignored there.
+    ignored there.  A weight's finite bound K is checked against its scanned
+    Muckenhoupt constants at construction.
     """
 
     p: float
@@ -71,6 +72,9 @@ class MixedNormSpec:
             raise ValueError("x_weighted needs alpha in (-1, p-1)")
         if self.weight is not None and self.weight.d != len(self.r):
             raise ValueError("weight dimension does not match exponent list")
+        if (self.weight is not None and math.isfinite(self.weight.K)
+                and not self.weight.validate_constants()["ok"]):
+            raise ValueError("weight constants exceed the declared bound K")
 
     @classmethod
     def unmixed(cls, p: float, d: int, **kw) -> "MixedNormSpec":
@@ -91,9 +95,11 @@ def _nodal_weight(w: Weight1D, nodes: np.ndarray, h: float) -> np.ndarray:
 
 
 def _radial_power_nodes(alpha: float, spec: GridSpec) -> np.ndarray:
-    """|x|^alpha on the position mesh, the singular origin node replaced by a
-    cell average (closed form in one dimension, a fixed even midpoint subgrid
-    in higher dimensions so the singular center is never sampled)."""
+    """|x|^alpha on the position mesh, the singular origin node replaced by
+    its exact cell average.  In two dimensions the cell splits into eight
+    triangles 0 <= theta <= pi/4, r <= (h/2) sec theta, which leaves the
+    smooth integral (8/h^2) (h/2)^(alpha+2)/(alpha+2) int sec^(alpha+2) theta
+    dtheta, taken by 16-point Gauss-Legendre."""
     mesh = np.meshgrid(*([spec.x_nodes] * spec.d), indexing="ij")
     rad = np.sqrt(sum(m * m for m in mesh))
     with np.errstate(divide="ignore"):
@@ -103,12 +109,13 @@ def _radial_power_nodes(alpha: float, spec: GridSpec) -> np.ndarray:
         h = spec.dx
         if spec.d == 1:
             patch = Weight1D(kind="power", alpha=alpha, p=2.0).cell_average(-h / 2, h / 2)
+        elif spec.d == 2:
+            nodes, weights = np.polynomial.legendre.leggauss(16)
+            theta = np.pi / 8 * (nodes + 1.0)
+            sec_integral = np.pi / 8 * np.sum(weights / np.cos(theta) ** (alpha + 2))
+            patch = 8 / h ** 2 * (h / 2) ** (alpha + 2) / (alpha + 2) * sec_integral
         else:
-            m = 32
-            sub = (np.arange(m) + 0.5) / m * h - h / 2
-            smesh = np.meshgrid(*([sub] * spec.d), indexing="ij")
-            srad = np.sqrt(sum(s * s for s in smesh))
-            patch = float(np.mean(srad ** alpha))
+            raise ValueError(f"no exact origin cell average of |x|^alpha in dimension {spec.d}")
         out[bad] = patch
     return out
 
@@ -196,12 +203,17 @@ def spectral_derivative(values: np.ndarray, axis: int, half_length: float,
     return np.fft.irfft(F, n, axis=axis)
 
 
+def check_transport_grid(spec: GridSpec) -> None:
+    """Raise unless the time stencil of transport_derivative fits spec."""
+    if spec.n_t < 3:
+        raise ValueError("transport derivative needs n_t >= 3 time nodes")
+
+
 def transport_derivative(u: GridField) -> GridField:
     """Yu = dt u - v . Dx u; time by sliding high-order finite differences,
     position spectrally."""
     spec = u.spec
-    if spec.n_t < 3:
-        raise ValueError("transport derivative needs at least three time nodes")
+    check_transport_grid(spec)
     D = _fd1_matrix(spec.n_t, spec.t_lo, spec.t_hi)
     out = np.tensordot(D, u.values, axes=(1, 0))
     for i in range(spec.d):

@@ -117,10 +117,10 @@ class TimeProfile:
             for name in ("center", "width", "poly"):
                 if not np.all(np.isfinite(getattr(self, name))):
                     raise ValueError(f"pulse {name} must be finite")
-            if not self.width > 0:
-                raise ValueError("pulse width must be positive")
             if len(self.poly) == 0:
                 raise ValueError("pulse needs at least one polynomial coefficient")
+        if not self.width > 0:
+            raise ValueError("profile width must be positive")
 
     def support(self) -> tuple:
         if self.kind == "boxcar":
@@ -179,8 +179,9 @@ class SpaceFactor:
             for name in ("x_freq", "x_phase", "v_center", "v_freq", "v_phase"):
                 if len(getattr(self, name)) != d:
                     raise ValueError(f"{name} must have length {d}")
-            if not (self.x_sigma > 0 and self.v_sigma > 0):
-                raise ValueError("gaussian widths must be positive")
+        for name in ("x_sigma", "v_sigma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"space factor {name} must be positive")
 
     @property
     def d(self) -> int:
@@ -302,9 +303,9 @@ class SolveConfig:
 
     def __post_init__(self):
         if self.quad_order < 4:
-            raise ValueError("quadrature order must be at least 4")
+            raise ValueError("quad_order must be at least 4")
         if not self.growth > 1:
-            raise ValueError("panel growth factor must exceed 1")
+            raise ValueError("panel growth must exceed 1")
         if self.h0 is not None and not 0 < self.h0 <= _H_MAX:
             raise ValueError(f"h0 must lie in (0, {_H_MAX}]")
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -326,6 +327,23 @@ class TestVerifyEstimateCommand:
         assert main(["verify-estimate", "--config", cfg, "--out",
                      str(tmp_path)]) == EXIT_OK
 
+    # n_t = 1 used to fail on the corpus's pulse width, and n_t = 2 only
+    # after every case was solved, on the transport derivative
+    @pytest.mark.parametrize("dry_run", [False, True],
+                             ids=["run", "dry_run"])
+    @pytest.mark.parametrize("n_t,t_hi", [(1, 0.0), (2, 1.0)])
+    def test_fewer_than_three_time_nodes_is_config_error(
+            self, tmp_path, capsys, monkeypatch, n_t, t_hi, dry_run):
+        monkeypatch.setattr(cli, "random_source_corpus",
+                            lambda *args, **kw: pytest.fail("corpus built"))
+        payload = _estimate_config()
+        payload["grid"].update(n_t=n_t, t_hi=t_hi)
+        cfg = _write(tmp_path, "est.yaml", payload)
+        assert main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: grid:" in err and "n_t" in err
+
     def test_h0_beyond_h_max_is_config_error(self, tmp_path, capsys):
         payload = _estimate_config()
         payload["solver"] = {"h0": 3.0}
@@ -501,6 +519,104 @@ def test_every_command_schema_passes_the_metaschema():
 def test_schema_keys_are_the_dataclass_fields(schema, cls):
     # the CLI passes these sections to the dataclasses as keyword arguments
     assert set(schema["properties"]) == {f.name for f in dataclasses.fields(cls)}
+
+
+def _dataclass_sections(payload):
+    """The sections of a solve config that the CLI passes to a dataclass."""
+    payload["solver"] = {}
+    term = payload["source"]["terms"][0]
+    return {"grid": payload["grid"], "profile": term["profile"],
+            "factor": term["factor"], "solver": payload["solver"]}
+
+
+# each range the section schemas used to restate is checked once, by the
+# dataclass the section builds, and its message names the key; a dry run
+# builds the sections too
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("where,values,key", [
+    ("grid", {"d": 0}, "d"), ("grid", {"n_t": 0}, "n_t"),
+    ("grid", {"n_x": 0}, "n_x"), ("grid", {"n_v": 0}, "n_v"),
+    ("grid", {"L_x": 0.0}, "L_x"), ("grid", {"L_v": 0.0}, "L_v"),
+    ("profile", {"kind": "step"}, "kind"),
+    ("factor", {"kind": "plane_wave"}, "kind"),
+    ("profile", {"width": 0.0}, "width"),
+    ("profile", {"kind": "pulse", "width": 0.0}, "width"),
+    ("factor", {"kind": "gaussian", "x_sigma": 0.0}, "x_sigma"),
+    ("factor", {"kind": "gaussian", "v_sigma": 0.0}, "v_sigma"),
+    ("factor", {"x_sigma": 0.0}, "x_sigma"),
+    ("factor", {"v_sigma": 0.0}, "v_sigma"),
+    ("solver", {"quad_order": 3}, "quad_order"),
+    ("solver", {"growth": 1.0}, "growth"), ("solver", {"h0": 0.0}, "h0"),
+], ids=["d", "n_t", "n_x", "n_v", "L_x", "L_v", "profile_kind",
+        "factor_kind", "boxcar_width", "pulse_width", "gaussian_x_sigma",
+        "gaussian_v_sigma", "v_mode_x_sigma", "v_mode_v_sigma", "quad_order",
+        "growth", "h0"])
+def test_out_of_range_value_is_config_error_naming_the_key(
+        tmp_path, capsys, where, values, key, dry_run):
+    payload = _steady_solve_config()
+    _dataclass_sections(payload)[where].update(values)
+    cfg = _write(tmp_path, "solve.yaml", payload)
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    section = where if where in ("grid", "solver") else "source"
+    assert f"config error: {section}:" in err
+    assert re.search(rf"\b{key}\b", err)
+
+
+# JSON Schema's integer type admits 2.0, which used to pass the schema and
+# end in a TypeError traceback
+@pytest.mark.parametrize("command,section,key,value", [
+    ("solve", "grid", "n_t", 9.0), ("solve", "solver", "quad_order", 8.0),
+    ("verify-estimate", "corpus", "n_cases", 2.0),
+    ("maximal-bench", "corpus", "n_fields", 2.0),
+    ("geometry-test", None, "n_triples", 100.0),
+], ids=["n_t", "quad_order", "n_cases", "n_fields", "n_triples"])
+def test_integer_valued_float_is_schema_violation(tmp_path, capsys, command,
+                                                  section, key, value):
+    payload = {"solve": _steady_solve_config(),
+               "verify-estimate": _estimate_config(),
+               "maximal-bench": {"grid": _estimate_config()["grid"],
+                                 "norm": {"p": 2.0, "r": [2.0], "q": 2.0},
+                                 "corpus": {"n_fields": 2}},
+               "geometry-test": {"n_triples": 100}}[command]
+    (payload.setdefault(section, {}) if section else payload)[key] = value
+    cfg = _write(tmp_path, "cfg.yaml", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    path = f"{section}/{key}" if section else key
+    assert (f"schema violation at {path}: {value} is not of type 'integer'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("where,path", [
+    ("grid", "grid"), ("profile", "source/terms/0/profile"),
+    ("factor", "source/terms/0/factor"), ("solver", "solver")])
+def test_unknown_key_in_a_dataclass_section_is_schema_violation(
+        tmp_path, capsys, where, path):
+    payload = _steady_solve_config()
+    _dataclass_sections(payload)[where]["colour"] = 1.0
+    cfg = _write(tmp_path, "solve.yaml", payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"schema violation at {path}" in capsys.readouterr().err
+
+
+# [|t|^1/2]_{A_4} and [|v|^1/2]_{A_3} exceed 1, so K = 0.1 is false;
+# verify-estimate used to accept it
+@pytest.mark.parametrize("command", ["verify-estimate", "maximal-bench"])
+def test_false_weight_bound_is_config_error(tmp_path, capsys, command):
+    if command == "verify-estimate":
+        payload = _estimate_config()
+    else:
+        payload = {"grid": {"d": 1, "n_t": 5, "n_x": 8, "n_v": 8, "t_lo": 0.0,
+                            "t_hi": 1.0, "L_x": 2.0, "L_v": 2.0},
+                   "corpus": {"n_fields": 2}}
+    payload["norm"] = {"p": 2.0, "r": [3.0], "q": 4.0,
+                       "weight": {"t": {"kind": "power", "alpha": 0.5},
+                                  "v": [{"kind": "power", "alpha": 0.5}],
+                                  "K": 0.1}}
+    cfg = _write(tmp_path, "cfg.yaml", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: norm:" in capsys.readouterr().err
 
 
 class TestFlagValidation:

@@ -148,6 +148,22 @@ class TestMixedNorm:
         kv = (np.sum(np.abs(k(SPEC1.v_nodes)) ** r) * SPEC1.dv) ** (1 / r)
         assert got == pytest.approx(inner ** (1 / p) * kv, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9, -1.5])
+    def test_x_weighted_origin_cell_is_exact_in_two_dimensions(self, alpha):
+        from scipy.integrate import dblquad
+        spec = GridSpec(d=2, n_t=1, n_x=4, n_v=2, t_lo=0.0, t_hi=0.0, L_x=1.0, L_v=1.0)
+        h = spec.dx
+        # the cell average over four quarter cells, singular at one corner
+        quarter, _ = dblquad(lambda y, x: (x * x + y * y) ** (alpha / 2),
+                             0.0, h / 2, 0.0, h / 2, epsabs=0.0, epsrel=1e-13)
+        origin = _radial_power_nodes(alpha, spec)[2, 2]
+        assert origin == pytest.approx(4.0 * quarter / h ** 2, rel=1e-12)
+
+    def test_x_weighted_origin_cell_beyond_two_dimensions_is_refused(self):
+        spec = GridSpec(d=3, n_t=1, n_x=2, n_v=2, t_lo=0.0, t_hi=0.0, L_x=1.0, L_v=1.0)
+        with pytest.raises(ValueError, match="dimension 3"):
+            _radial_power_nodes(-0.5, spec)
+
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=-1e6, max_value=1e6).filter(lambda c: abs(c) > 1e-6))
     def test_homogeneity(self, c):
@@ -207,6 +223,18 @@ class TestMixedNorm:
             MixedNormSpec(p=2.0, r=(0.5,), q=2.0)
         with pytest.raises(ValueError, match="alpha"):
             MixedNormSpec(p=2.0, r=(2.0,), q=2.0, variant="x_weighted", alpha=1.5)
+
+    def test_declared_weight_bound_is_checked(self):
+        # [|v|^1/2]_{A_3} is 32/27, so K = 0.1 is false and K = 10 holds
+        power = Weight1D(kind="power", alpha=0.5, p=3.0)
+        one = Weight1D(kind="constant", level=1.0)
+        with pytest.raises(ValueError, match="declared bound K"):
+            MixedNormSpec(p=2.0, r=(3.0,), q=2.0,
+                          weight=ProductWeight(w0=one, wi=(power,), K=0.1))
+        MixedNormSpec(p=2.0, r=(3.0,), q=2.0,
+                      weight=ProductWeight(w0=one, wi=(power,), K=10.0))
+        MixedNormSpec(p=2.0, r=(3.0,), q=2.0,
+                      weight=ProductWeight(w0=one, wi=(power,)))
 
 
 class TestTransportDerivative:

@@ -123,8 +123,16 @@ class TestTransformOracles:
     def test_source_validation(self):
         with pytest.raises(ValueError, match="finite"):
             TimeProfile(kind="boxcar", start=-math.inf, stop=0.0)
-        with pytest.raises(ValueError, match="width"):
-            TimeProfile(kind="pulse", width=0.0)
+        # width and the sigmas must be positive for every kind, also where
+        # the kind does not use them
+        for kind in ("boxcar", "pulse"):
+            with pytest.raises(ValueError, match="width must be positive"):
+                TimeProfile(kind=kind, width=0.0)
+        for kind in ("gaussian", "v_mode"):
+            for name in ("x_sigma", "v_sigma"):
+                with pytest.raises(ValueError,
+                                   match=f"space factor {name} must be positive"):
+                    SpaceFactor(kind=kind, **{name: 0.0})
         with pytest.raises(ValueError, match="kind"):
             TimeProfile(kind="step")
         with pytest.raises(ValueError, match="kind"):

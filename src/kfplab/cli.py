@@ -92,12 +92,22 @@ _COEFF = {
         "kind": {"enum": ["constant_spd", "time_piecewise"]},
         "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "value": {"type": "number"},
-        "matrix": {"type": "array"},
+        "matrix": {"type": "array", "items": _NUMS, "minItems": 1},
         "breakpoints": {"type": "array", "items": {"type": "number"}},
         "values": {"type": "array", "items": {"type": "number"}},
     },
     "required": ["kind", "delta"],
     "additionalProperties": False,
+    # each kind takes its own keys: value xor matrix; breakpoints and values
+    "allOf": [
+        {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+         "then": {"propertyNames": {"enum": ["kind", "delta", *keys]}, **rule}}
+        for kind, keys, rule in [
+            ("constant_spd", ["value", "matrix"],
+             {"if": {"required": ["matrix"]}, "else": {"required": ["value"]},
+              "then": {"propertyNames": {"enum": ["kind", "delta", "matrix"]}}}),
+            ("time_piecewise", ["breakpoints", "values"],
+             {"required": ["breakpoints", "values"]})]],
 }
 
 _SOURCE = {
@@ -315,26 +325,16 @@ def _build(cls, section: str, values: dict):
 def _build_coefficients(cfg: dict, d: int) -> CoefficientField:
     """Coefficients at the grid dimension d.  A scalar value, a 1x1 matrix
     and each piecewise value multiply the d-dimensional identity."""
-    kind = cfg["kind"]
     try:
-        if kind == "constant_spd":
-            if "matrix" in cfg:
-                matrix = np.asarray(cfg["matrix"], dtype=float)
-                if matrix.ndim != 2:
-                    raise ConfigError("matrix must be a list of rows")
-                if matrix.shape == (1, 1):
-                    matrix = matrix[0, 0] * np.eye(d)
-                elif matrix.shape[0] != d:
-                    raise ConfigError(f"coefficient dimension {matrix.shape[0]} "
-                                      f"does not match grid {d}")
-            elif "value" in cfg:
-                matrix = cfg["value"] * np.eye(d)
-            else:
-                raise ConfigError("constant_spd needs 'value' or 'matrix'")
+        if cfg["kind"] == "constant_spd":
+            matrix = np.array(cfg.get("matrix") or [[cfg["value"]]], float)
+            if matrix.shape == (1, 1):
+                matrix = matrix[0, 0] * np.eye(d)
+            elif matrix.shape[0] != d:
+                raise ConfigError(f"coefficient dimension {matrix.shape[0]} "
+                                  f"does not match grid {d}")
             return CoefficientField(kind="constant_spd", d=d,
                                     delta=cfg["delta"], matrix=matrix)
-        if "values" not in cfg or "breakpoints" not in cfg:
-            raise ConfigError("time_piecewise needs 'breakpoints' and 'values'")
         mats = tuple(val * np.eye(d) for val in cfg["values"])
         return CoefficientField(kind="time_piecewise", d=d, delta=cfg["delta"],
                                 breakpoints=tuple(cfg["breakpoints"]),

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .coefficients import CoefficientField, LowerOrderTerms
 from .fractional import SpectralField
@@ -442,6 +441,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
     work_x = np.empty((block,) + lattice)
     work_s = np.empty((block,) + lattice, dtype=complex)
     step = len(t_nodes) if shared else 1
+    work_c = np.empty((step, 2 * math.prod(lattice)))
     for i in range(int(np.searchsorted(t_nodes, lo, side="right")),
                    len(t_nodes), step):
         ts, group = t_nodes[i:i + step], out[i:i + step]
@@ -483,11 +483,11 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                     np.copyto(K, 0.0, where=past)
                     if W is None:
                         weights, shifted = source(ts, taus[b:b + n])
-                        W = np.broadcast_to(wts[b:b + n] * weights, (len(ts), n))
+                        # a real array: matmul takes a stride-0 view off BLAS
+                        W = np.multiply(wts[b:b + n], weights,
+                                        out=np.empty((len(ts), n)))
                     S = np.multiply(K, shifted, out=work_s[:n]).reshape(n, -1)
-                    # rows += W @ S in place: the transposes are Fortran-ordered
-                    dgemm(1.0, S.view(float).T, W[sl].T, 1.0, rows[sl].T,
-                          overwrite_c=True)
+                    rows[sl] += np.matmul(W[sl], S.view(float), out=work_c[sl])
                 if not (active := kept):
                     break
             for j, sl in runs:

@@ -190,6 +190,29 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config error: coefficients:" in capsys.readouterr().err
 
+    # each of these used to exit 0: a constant A ran with the piecewise
+    # keys dropped, the piecewise one with value and matrix dropped, and
+    # the matrix won over the value
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+    @pytest.mark.parametrize("coefficients,key", [
+        ({"kind": "constant_spd", "value": 1.0, "breakpoints": [0.5],
+          "values": [1.0, 9.0]}, "breakpoints"),
+        ({"kind": "time_piecewise", "value": 5.0, "matrix": [[3.0]],
+          "breakpoints": [0.5], "values": [1, 2]}, "matrix"),
+        ({"kind": "constant_spd", "value": 1.0, "matrix": [[4.0]]}, "value"),
+    ], ids=["constant_with_pieces", "piecewise_with_value",
+            "value_and_matrix"])
+    def test_key_the_kind_does_not_take_is_schema_violation(
+            self, tmp_path, capsys, coefficients, key, dry_run):
+        payload = _steady_solve_config()
+        payload["coefficients"] = {**coefficients, "delta": 0.4}
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        argv = ["solve", "--config", cfg, "--out", str(tmp_path)]
+        assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"schema violation at coefficients: '{key}' is not one of" in err
+        assert not (tmp_path / "solution.bin").exists()
+
     @pytest.mark.parametrize("key", ["exponent_cut", "h_max"])
     def test_fixed_solver_constants_are_not_settable(self, tmp_path, capsys,
                                                      key):
@@ -353,10 +376,12 @@ class TestVerifyEstimateCommand:
         assert "config error: solver:" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate serves only the test oracles in kfplab.fractional and
-    # pulls in optimize, sparse, spatial and special on import
-    code = "import sys, kfplab.cli; print('scipy.integrate' in sys.modules)"
+def test_runtime_import_leaves_out_scipy():
+    # scipy serves only the test oracles in kfplab.fractional, which import
+    # scipy.integrate when called; at run time its second BLAS would start
+    # a second thread pool beside numpy's
+    code = ("import sys, kfplab.cli, kfplab.solver, kfplab.verification, "
+            "kfplab.maximal; print('scipy' in sys.modules)")
     src = str(Path(kfplab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -571,7 +596,11 @@ def test_out_of_range_value_is_config_error_naming_the_key(
     ("verify-estimate", "corpus", "n_cases", 2.0),
     ("maximal-bench", "corpus", "n_fields", 2.0),
     ("geometry-test", None, "n_triples", 100.0),
-], ids=["n_t", "quad_order", "n_cases", "n_fields", "n_triples"])
+    ("geometry-test", "dims", 0, 1.0), ("geometry-test", None, "workers", 2.0),
+    ("vmo", None, "n_pairs", 4000.0), ("vmo", None, "n_slices", 8.0),
+    ("vmo", None, "n_probes", 4.0),
+], ids=["n_t", "quad_order", "n_cases", "n_fields", "n_triples", "dims",
+        "workers", "n_pairs", "n_slices", "n_probes"])
 def test_integer_valued_float_is_schema_violation(tmp_path, capsys, command,
                                                   section, key, value):
     payload = {"solve": _steady_solve_config(),
@@ -579,7 +608,12 @@ def test_integer_valued_float_is_schema_violation(tmp_path, capsys, command,
                "maximal-bench": {"grid": _estimate_config()["grid"],
                                  "norm": {"p": 2.0, "r": [2.0], "q": 2.0},
                                  "corpus": {"n_fields": 2}},
-               "geometry-test": {"n_triples": 100}}[command]
+               "geometry-test": {"n_triples": 100, "dims": [1]},
+               "vmo": {"coefficients": {"kind": "constant_spd", "delta": 0.4,
+                                        "value": 1.0},
+                       "radii": [0.5],
+                       "center": {"t": 0.0, "x": [0.0], "v": [0.0]}}}[command]
+    # a section is a mapping, or for dims a list indexed by key
     (payload.setdefault(section, {}) if section else payload)[key] = value
     cfg = _write(tmp_path, "cfg.yaml", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

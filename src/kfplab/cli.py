@@ -29,7 +29,7 @@ from jsonschema.validators import extend, validator_for
 from .coefficients import CoefficientField
 from .geometry import PhasePoint, QuasiMetricParams, quasi_distance_batch
 from .grids import GridSpec
-from .maximal import fs_check, hl_check, make_corpus
+from .maximal import CylinderFamily, fs_check, hl_check, make_corpus
 from .norms import MixedNormSpec, check_transport_grid
 from .solver import (AnalyticSource, SolveConfig, SourceTerm, SpaceFactor,
                      TimeProfile, solve_duhamel)
@@ -393,6 +393,12 @@ def _build_sections(command: str, cfg: dict) -> dict:
         built["norm"] = _build_norm(cfg["norm"], built["grid"].d)
     if "solver" in SCHEMAS[command]["properties"]:
         built["solver"] = _build(SolveConfig, "solver", cfg.get("solver", {}))
+    if command == "maximal-bench":
+        try:
+            built["family"] = CylinderFamily.for_grid(
+                built["grid"], c=cfg.get("c", 1.0), T=built["norm"].T)
+        except ValueError as exc:
+            raise ConfigError(f"maximal-bench: {exc}") from exc
     return built
 
 
@@ -533,7 +539,7 @@ def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path, seed: int,
     for kind, check in (("hl", hl_check), ("fs", fs_check)):
         t0 = time.perf_counter()
         try:
-            ratio = check(corpus, nspec, c=c)
+            ratio = check(corpus, nspec, c=c, fam=built["family"])
         except ValueError as exc:
             raise ConfigError(f"maximal-bench: {exc}") from exc
         elapsed = time.perf_counter() - t0

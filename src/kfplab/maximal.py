@@ -12,7 +12,8 @@ sup, which is the right one-sidedness for every downstream check.
 
 Every cylinder sum is numpy's pairwise sum over one contiguous row holding
 the cylinder's members in t, then x, then v order, so the results do not
-depend on how many fields are swept together.
+depend on how many fields are swept together, nor on how the sweep chunks
+its centers and gathers to stay within _BLOCK elements.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ __all__ = [
 ]
 
 _STRIDE_FRACTION = 0.25  # center spacing per axis, as a share of the extent
+_BLOCK = 1 << 16         # elements per gathered block and per center chunk of _sweep
+
+
+def _x_extent(c: float, r: float) -> float:
+    """The x half-width (c r)^3 of Q_{r,cr}; ValueError if it is not finite."""
+    try:
+        R3 = (c * r) ** 3
+    except OverflowError:
+        R3 = math.inf
+    if not math.isfinite(R3):
+        raise ValueError(f"anisotropy c={c!r} makes the x extent (c*r)^3 "
+                         f"non-finite at radius r={r!r}")
+    return R3
 
 
 def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
@@ -57,6 +71,8 @@ class CylinderFamily:
         if not self.c >= 1.0:
             raise ValueError("anisotropy c must be at least 1")
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
+        for r in self.radii:
+            _x_extent(self.c, r)
 
     @classmethod
     def for_grid(cls, spec: GridSpec, c: float = 1.0,
@@ -69,7 +85,7 @@ class CylinderFamily:
         t_range = spec.t_hi - spec.t_lo
         while len(radii) < 10:
             r = radii[-1]
-            if r * r >= 2.0 * t_range and r >= spec.L_v and (c * r) ** 3 >= spec.L_x:
+            if r * r >= 2.0 * t_range and r >= spec.L_v and _x_extent(c, r) >= spec.L_x:
                 break
             radii.append(2.0 * r)
         return cls(radii=tuple(radii), c=c, T=T)
@@ -78,7 +94,7 @@ class CylinderFamily:
         """Center candidates at one radius: time values (including slots past
         t_hi, clipped at T) and per-axis node index strides for x and v."""
         st_t = max(1, int(_STRIDE_FRACTION * r * r / spec.dt))
-        st_x = max(1, int(_STRIDE_FRACTION * (self.c * r) ** 3 / spec.dx))
+        st_x = max(1, int(_STRIDE_FRACTION * _x_extent(self.c, r) / spec.dx))
         st_v = max(1, int(_STRIDE_FRACTION * r / spec.dv))
         t1s = list(spec.t_nodes[::st_t])
         k = 1
@@ -126,16 +142,21 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
     of mean absolute deviations ('sharp'), or per-scale membership counts
     ('count').
 
-    Cylinders sharing (r, t1, v1) run together: those with equal member
-    counts are gathered into one contiguous (m, cylinders, count) block and
-    summed along its rows, and the max-scatter over their members is one
-    masked max.  Max is exact and every candidate is >= 0, so the scatter
-    order and the zero fill do not change the result.
+    One pass per (r, t1) covers every (v1, x1) center pair, in chunks of
+    velocity centers sized so that the x-membership mask, its distances and
+    the max-scatter temporaries hold at most _BLOCK elements.  Within a
+    chunk, cylinders with equal (x-member, v-member) counts are gathered by
+    np.take into C-contiguous (m, cylinders, count) blocks of at most
+    _BLOCK elements and summed along their rows.  The max-scatter is a
+    masked max over x-centers, then over velocity centers.  Max is exact
+    and every candidate is >= 0, so the scatter order and the zero fill do
+    not change the result.
     """
     d = spec.d
     n_x, n_v = spec.n_x ** d, spec.n_v ** d
     tn = spec.t_nodes
     if mode == "count":
+        m = 1
         out = np.zeros((len(fam.radii), spec.n_t, n_x, n_v), dtype=np.int64)
     else:
         m = fields.shape[0]
@@ -146,47 +167,58 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
     px, pv = 2.0 * spec.L_x, 2.0 * spec.L_v
     for s_idx, r in enumerate(fam.radii):
         r2 = r * r
-        R3 = (fam.c * r) ** 3
+        R3 = _x_extent(fam.c, r)
         R2 = R3 * R3
         t1s, x_idx, v_idx = fam._scale_lattice(spec, r)
         x1s = xn[np.array(list(itertools.product(x_idx, repeat=d)))]
         v1s = vn[np.array(list(itertools.product(v_idx, repeat=d)))]
         v_in = _axis_dist2(vn, v1s, pv, d).reshape(len(v1s), n_v) < r2
+        keep = np.any(v_in, axis=1)
+        v1s, v_in = v1s[keep], v_in[keep]
+        n_vin = np.sum(v_in, axis=1)
+        n_xc = len(x1s)
         for t1 in t1s:
             lo = int(np.searchsorted(tn, t1 - r2, side="right"))
             hi = int(np.searchsorted(tn, t1, side="left"))
             if lo >= hi:
                 continue
             lag = (tn[lo:hi] - t1)[:, None]
-            for v1, vmask in zip(v1s, v_in):
-                vl = np.flatnonzero(vmask)
-                if len(vl) == 0:
-                    continue
-                # x-membership of every x-center on every window slice
-                shift = x1s[:, None, :] - lag * v1
-                x_in = _axis_dist2(xn, shift, px, d).reshape(len(x1s), hi - lo, n_x) < R2
+            sl = out[s_idx, lo:hi] if mode == "count" else out[:, lo:hi]
+            step = max(1, _BLOCK // (m * (hi - lo) * n_x * max(n_xc, n_v)))
+            for c0 in range(0, len(v1s), step):
+                vc = slice(c0, c0 + step)
+                n_vc = len(v1s[vc])
+                # x-membership of every (v1, x1) center on every window slice
+                shift = x1s[:, None, :] - lag * v1s[vc, None, None, :]
+                x_in = _axis_dist2(xn, shift, px, d).reshape(n_vc, n_xc, hi - lo, n_x) < R2
                 if mode == "count":
-                    out[s_idx, lo:hi][..., vl] += np.sum(x_in, axis=0)[..., None]
+                    sl += np.tensordot(np.sum(x_in, axis=1), v_in[vc], axes=(0, 0))
                     continue
-                n_in = np.sum(x_in, axis=(1, 2))
-                cand = np.zeros((m, len(x1s)))
-                for n_mem in np.unique(n_in[n_in > 0]):
-                    count = int(n_mem) * len(vl)
-                    group = np.flatnonzero(n_in == n_mem)
-                    # chunks keep each gathered block within the size of src
-                    step = max(1, src.shape[1] // count)
-                    for part in np.split(group, range(step, len(group), step)):
-                        _, w, xi = np.nonzero(x_in[part])
-                        rows = ((lo + w) * n_x + xi) * n_v
-                        idx = (rows.reshape(len(part), -1, 1) + vl).reshape(len(part), -1)
-                        block = np.ascontiguousarray(src[:, idx])
+                n_in = np.sum(x_in, axis=(2, 3)).ravel()
+                key = n_in * (n_v + 1) + np.repeat(n_vin[vc], n_xc)
+                flat = x_in.reshape(n_vc * n_xc, -1)
+                cand = np.zeros((m, n_vc * n_xc))
+                for k in np.unique(key[n_in > 0]):
+                    nx_mem, nv_mem = divmod(int(k), n_v + 1)
+                    count = nx_mem * nv_mem
+                    group = np.flatnonzero(key == k)
+                    size = max(1, _BLOCK // (m * count))
+                    for part in np.split(group, range(size, len(group), size)):
+                        # members in t, x, v order: ascending flat indices
+                        _, pos = np.nonzero(flat[part])
+                        _, vl = np.nonzero(v_in[c0 + part // n_xc])
+                        rows = (lo * n_x + pos).reshape(len(part), nx_mem, 1) * n_v
+                        idx = (rows + vl.reshape(len(part), 1, nv_mem)).reshape(len(part), count)
+                        block = np.take(src, idx, axis=1)
                         avg = np.sum(block, axis=-1) / count
                         if mode == "sharp":
-                            avg = np.sum(np.abs(block - avg[..., None]), axis=-1) / count
+                            dev = np.subtract(block, avg[..., None], out=block)
+                            avg = np.sum(np.abs(dev, out=dev), axis=-1) / count
                         cand[:, part] = avg
-                best = np.max(np.where(x_in, cand[:, :, None, None], 0.0), axis=1)
-                sl = out[:, lo:hi]
-                sl[..., vl] = np.maximum(sl[..., vl], best[..., None])
+                cand = cand.reshape(m, n_vc, n_xc, 1, 1)
+                best = np.max(np.where(x_in, cand, 0.0), axis=2)
+                best = np.max(np.where(v_in[vc, None, None, :], best[..., None], 0.0), axis=1)
+                np.maximum(sl, best, out=sl)
     if mode == "count":
         return out.reshape((len(fam.radii),) + spec.shape)
     return out.reshape((fields.shape[0],) + spec.shape)

@@ -469,6 +469,23 @@ class TestMaximalCommand:
             assert np.isfinite(float(row["ratio"]))
             assert float(row["seconds"]) >= 0.0
 
+    # (c r)^3 used to overflow into a traceback
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("c", [".inf", "1.0e+110"])
+    def test_non_finite_x_extent_is_config_error(self, tmp_path, capsys, c,
+                                                 dry_run):
+        cfg = tmp_path / "m.yaml"
+        cfg.write_text(
+            "grid: {d: 1, n_t: 5, n_x: 8, n_v: 8, t_lo: 0.0, t_hi: 1.0,"
+            " L_x: 2.0, L_v: 2.0}\n"
+            "norm: {p: 2.0, r: [2.0], q: 2.0}\n"
+            f"c: {c}\n"
+            "corpus: {n_fields: 2}\n")
+        assert main(["maximal-bench", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: maximal-bench: anisotropy c=" in err
+
 
 class TestVmoCommand:
     def test_time_only_coefficients_have_zero_oscillation(self, tmp_path):

@@ -1,10 +1,13 @@
 """Maximal and sharp functions: exhaustive oracle equality and norm checks."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kfplab import maximal as maximal_module
 from kfplab.grids import GridField, GridSpec
 from kfplab.maximal import (
     CylinderFamily,
@@ -20,6 +23,7 @@ from kfplab.norms import MixedNormSpec, mixed_norm
 
 
 SMALL = GridSpec(d=1, n_t=8, n_x=8, n_v=8, t_lo=0.0, t_hi=0.7, L_x=1.3, L_v=1.1)
+TINY_D2 = GridSpec(d=2, n_t=4, n_x=4, n_v=4, t_lo=0.0, t_hi=0.5, L_x=1.3, L_v=1.1)
 
 
 def _random_field(spec, seed):
@@ -27,47 +31,62 @@ def _random_field(spec, seed):
     return GridField(spec, rng.standard_normal(spec.shape))
 
 
+def _mi(delta, period):
+    return delta - period * round(delta / period)
+
+
+def _min_image_norm2(deltas, period):
+    total = 0.0
+    for delta in deltas:
+        delta = _mi(delta, period)
+        total = total + delta * delta
+    return total
+
+
 def _brute(field, fam, mode):
-    # independent per-(cylinder, node) loop; shares only the family's center
-    # enumeration, which is part of the operator definition
+    # independent per-(cylinder, node) loop over every axis; shares only the
+    # family's center enumeration, which is part of the operator definition.
+    # Mode 'count' returns per-scale membership counts.
     spec = field.spec
     tn, xn, vn = spec.t_nodes, spec.x_nodes, spec.v_nodes
     px, pv = 2.0 * spec.L_x, 2.0 * spec.L_v
+    x_cells = list(itertools.product(range(spec.n_x), repeat=spec.d))
+    v_cells = list(itertools.product(range(spec.n_v), repeat=spec.d))
     vals = field.values
-    out = np.zeros(spec.shape)
-    for r in fam.radii:
+    if mode == "count":
+        out = np.zeros((len(fam.radii),) + spec.shape, dtype=np.int64)
+    else:
+        out = np.zeros(spec.shape)
+    for s, r in enumerate(fam.radii):
         r2 = r * r
         R3 = (fam.c * r) ** 3
         R2 = R3 * R3
         for t1, x1, v1 in fam.centers(spec, r):
-            members, data = [], []
+            v_mem = [vc for vc in v_cells
+                     if _min_image_norm2([vn[i] - v1[a] for a, i in enumerate(vc)], pv) < r2]
+            members = []
             for j in range(spec.n_t):
                 if not (t1 - r2 < tn[j] < t1):
                     continue
-                shift = x1[0] - (tn[j] - t1) * v1[0]
-                for xi in range(spec.n_x):
-                    w = xn[xi] - shift
-                    w = w - px * np.round(w / px)
-                    if not w * w < R2:
-                        continue
-                    for vi in range(spec.n_v):
-                        u = vn[vi] - v1[0]
-                        u = u - pv * np.round(u / pv)
-                        if not u * u < r2:
-                            continue
-                        members.append((j, xi, vi))
-                        data.append(vals[j, xi, vi])
+                shift = [x1[a] - (tn[j] - t1) * v1[a] for a in range(spec.d)]
+                for xc in x_cells:
+                    if _min_image_norm2([xn[i] - shift[a] for a, i in enumerate(xc)], px) < R2:
+                        members.extend((j,) + xc + vc for vc in v_mem)
             if not members:
                 continue
-            arr = np.asarray(data)
+            if mode == "count":
+                for node in members:
+                    out[(s,) + node] += 1
+                continue
+            arr = np.asarray([vals[node] for node in members])
             if mode == "maximal":
                 cand = np.sum(np.abs(arr)) / len(arr)
             else:
                 mean = np.sum(arr) / len(arr)
                 cand = np.sum(np.abs(arr - mean)) / len(arr)
-            for j, xi, vi in members:
-                if cand > out[j, xi, vi]:
-                    out[j, xi, vi] = cand
+            for node in members:
+                if cand > out[node]:
+                    out[node] = cand
     return out
 
 
@@ -87,6 +106,18 @@ class TestExhaustiveOracle:
         got = sharp(f, T=T, fam=fam).values
         want = _brute(f, fam, "sharp")
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c,T", [(1.0, math.inf), (2.0, 0.41)])
+    def test_d2_sweep_matches_brute_force(self, c, T):
+        # every velocity center of a (r, t1) pass runs in one batch
+        f = _random_field(TINY_D2, seed=28)
+        fam = CylinderFamily.for_grid(TINY_D2, c=c, T=T)
+        assert np.array_equal(maximal(f, c=c, T=T, fam=fam).values,
+                              _brute(f, fam, "maximal"))
+        assert np.array_equal(sharp(f, c=c, T=T, fam=fam).values,
+                              _brute(f, fam, "sharp"))
+        assert np.array_equal(coverage_counts(TINY_D2, fam),
+                              _brute(f, fam, "count"))
 
     def test_nodes_above_the_time_cut_get_zero(self):
         f = GridField(SMALL, np.ones(SMALL.shape))
@@ -164,10 +195,6 @@ class TestPointwiseProperties:
         assert picked == 5
 
 
-def _mi(delta, period):
-    return delta - period * round(delta / period)
-
-
 class TestFamilyValidation:
     def test_bad_constructions_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +204,13 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             maximal(_random_field(SMALL, 1), c=2.0,
                     fam=CylinderFamily.for_grid(SMALL, c=1.0))
+
+    @pytest.mark.parametrize("c", [math.inf, 1.0e110])
+    def test_non_finite_x_extent_rejected(self, c):
+        with pytest.raises(ValueError, match=r"\bc="):
+            CylinderFamily(radii=(1.0,), c=c)
+        with pytest.raises(ValueError, match=r"\bc="):
+            CylinderFamily.for_grid(SMALL, c=c)
 
     def test_single_time_node_rejected(self):
         spec = GridSpec(d=1, n_t=1, n_x=4, n_v=4, t_lo=0.0, t_hi=0.0,
@@ -200,6 +234,33 @@ class TestBatchInvariance:
         stacked = _sweep(np.stack([f.values for f in corpus]), CORPUS_SPEC, fam, mode)
         for f, got in zip(corpus, stacked):
             assert np.array_equal(got, single(f, c=c, fam=fam).values)
+
+    @pytest.mark.parametrize("spec", [CORPUS_SPEC, TINY_D2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("mode", ["maximal", "sharp", "count"])
+    def test_block_budget_does_not_change_results(self, monkeypatch, spec, mode):
+        # a tiny budget splits every velocity-center chunk and every gather
+        fields = np.random.default_rng(101).standard_normal((3,) + spec.shape)
+        fam = CylinderFamily.for_grid(spec, c=2.0)
+        want = _sweep(fields, spec, fam, mode)
+        monkeypatch.setattr(maximal_module, "_BLOCK", 64)
+        assert np.array_equal(_sweep(fields, spec, fam, mode), want)
+
+
+class TestSweepMemory:
+    def test_d2_sharp_sweep_peak_stays_bounded(self):
+        # the temporaries stay within the chunk budget; unchunked, one pass
+        # over all velocity centers peaks at 9 MB or more here
+        spec = GridSpec(d=2, n_t=3, n_x=8, n_v=8, t_lo=0.0, t_hi=1.0,
+                        L_x=2.0, L_v=2.0)
+        fields = np.random.default_rng(38).standard_normal((4,) + spec.shape)
+        fam = CylinderFamily.for_grid(spec)
+        tracemalloc.start()
+        try:
+            _sweep(fields, spec, fam, "sharp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestHLCheck:

@@ -393,6 +393,17 @@ def _build_sections(command: str, cfg: dict) -> dict:
         built["norm"] = _build_norm(cfg["norm"], built["grid"].d)
     if "solver" in SCHEMAS[command]["properties"]:
         built["solver"] = _build(SolveConfig, "solver", cfg.get("solver", {}))
+    if command == "geometry-test":
+        window = {key: cfg.get(key, default)
+                  for key, default in (("c_lo", 1.0), ("c_hi", 10.0), ("box", 10.0))}
+        for key, value in window.items():
+            # numpy's uniform draw needs a finite hi - lo; 2 * value bounds it
+            if not math.isfinite(2.0 * value):
+                raise ConfigError(f"geometry-test: {key}={value!r} leaves no "
+                                  f"finite draw range")
+        if window["c_hi"] < window["c_lo"]:
+            raise ConfigError("geometry-test: c_hi must not fall below c_lo")
+        built["window"] = window
     if command == "maximal-bench":
         try:
             built["family"] = CylinderFamily.for_grid(
@@ -472,11 +483,7 @@ def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
                        workers: int) -> None:
     n = cfg["n_triples"]
     dims = cfg.get("dims", [1, 2, 3])
-    c_lo = cfg.get("c_lo", 1.0)
-    c_hi = cfg.get("c_hi", 10.0)
-    box = cfg.get("box", 10.0)
-    if c_hi < c_lo:
-        raise ConfigError("c_hi must not fall below c_lo")
+    c_lo, c_hi, box = built["window"].values()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for d in dims:
         bad_sym = 0

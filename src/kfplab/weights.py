@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _N_BATCHES = 20  # batches behind kinetic_ap_functional's standard error
+_DRAW_BUDGET = 1 << 16  # doubles per rng.random block of sampler rounds
 
 
 def _check_increasing(knots, what: str) -> None:
@@ -268,54 +269,83 @@ def kinetic_ap_functional(
     over B = {rho_hat_c(., z0) < r} intersected with {t <= T}, together with
     a standard error over _N_BATCHES batches.  Requires alpha in (-1, p-1)
     and t0 <= T.
+
+    Each batch takes rounds of 2 * per_batch box draws until per_batch
+    accepted points are in.  Every open batch needs at least one more round,
+    so up to that many rounds are drawn as one rng.random block (at most
+    _DRAW_BUDGET doubles) and sliced the way Generator.uniform draws t, eta
+    and w.  The estimate and the generator state after it equal those of
+    the one-round-at-a-time loop.
     """
-    if not p > 1:
-        raise ValueError("requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
     if not (-1.0 < alpha < p - 1.0):
         raise ValueError(f"alpha must lie in (-1, p-1), got {alpha}")
     if not z0.t <= T:
         raise ValueError("center must lie in the closed half-space t <= T")
-    if not (r > 0 and c >= 1):
-        raise ValueError("need r > 0 and c >= 1")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, got {r!r}")
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    params = QuasiMetricParams(c=c)
     rng = rng or np.random.default_rng()
     d = z0.d
-    params = QuasiMetricParams(c=c)
     dual = -alpha / (p - 1.0)
 
-    t_rad, x_rad, v_rad = _box_radii(r, c)
+    try:
+        t_rad, x_rad, v_rad = _box_radii(r, c)
+    except OverflowError:
+        t_rad = x_rad = v_rad = math.inf
     t_hi = min(z0.t + t_rad, T)
     t_lo = z0.t - t_rad
+    # bounds |x| and every slant entry the distance squares over the box
+    reach = float(np.max(np.abs(z0.x) + t_rad * (2.0 * np.abs(z0.v) + v_rad))) + x_rad
+    if not math.isfinite(d * reach * reach):
+        raise ValueError(f"r = {r!r} is too large: the sampling box overflows")
 
+    per_batch = max(1, n_samples // _N_BATCHES)
+    m = 2 * per_batch
+    width = m * (1 + 2 * d)
     vals1 = []
     vals2 = []
-    per_batch = max(1, n_samples // _N_BATCHES)
-    for _ in range(_N_BATCHES):
-        acc1 = acc2 = 0.0
-        count = 0
-        while count < per_batch:
-            m = per_batch * 2
-            t = rng.uniform(t_lo, t_hi, size=m)
-            eta = rng.uniform(-1.0, 1.0, size=(m, d))
-            wv = rng.uniform(-1.0, 1.0, size=(m, d))
-            if d > 1:
-                ok = (np.linalg.norm(eta, axis=1) < 1) & (np.linalg.norm(wv, axis=1) < 1)
-                t, eta, wv = t[ok], eta[ok], wv[ok]
-            x = z0.x - (t - z0.t)[:, None] * z0.v + x_rad * eta
-            v = z0.v + v_rad * wv
-            rho = symmetrized_distance_batch(t, x, v, z0.t, z0.x, z0.v, params)
-            keep = rho < r
-            if not np.any(keep):
-                continue
-            ax = np.linalg.norm(x[keep], axis=1) if d > 1 else np.abs(x[keep, 0])
-            with np.errstate(divide="ignore"):
-                w1 = ax ** alpha
-                w2 = ax ** dual
-            fin = np.isfinite(w1) & np.isfinite(w2)
-            acc1 += float(np.sum(w1[fin]))
-            acc2 += float(np.sum(w2[fin]))
-            count += int(np.sum(fin))
-        vals1.append(acc1 / count)
-        vals2.append(acc2 / count)
+    acc1 = acc2 = 0.0
+    count = 0
+    while len(vals1) < _N_BATCHES:
+        k = max(1, min(_N_BATCHES - len(vals1), _DRAW_BUDGET // width))
+        u = rng.random((k, width))
+        t = (t_lo + (t_hi - t_lo) * u[:, :m]).ravel()
+        eta = (-1.0 + 2.0 * u[:, m:m + m * d]).reshape(-1, d)
+        wv = (-1.0 + 2.0 * u[:, m + m * d:]).reshape(-1, d)
+        ends = np.arange(1, k + 1) * m  # one past each round's last point
+        if d > 1:
+            ok = (np.linalg.norm(eta, axis=1) < 1) & (np.linalg.norm(wv, axis=1) < 1)
+            t, eta, wv = t[ok], eta[ok], wv[ok]
+            ends = np.cumsum(ok)[ends - 1]
+        x = z0.x - (t - z0.t)[:, None] * z0.v + x_rad * eta
+        v = z0.v + v_rad * wv
+        rho = symmetrized_distance_batch(t, x, v, z0.t, z0.x, z0.v, params)
+        keep = rho < r
+        ax = np.linalg.norm(x[keep], axis=1) if d > 1 else np.abs(x[keep, 0])
+        with np.errstate(divide="ignore", over="ignore"):
+            w1 = ax ** alpha
+            w2 = ax ** dual
+        fin = np.isfinite(w1) & np.isfinite(w2)
+        if not np.all(fin | (ax == 0.0)):
+            raise ValueError(f"|x|^alpha or |x|^(-alpha/(p-1)) overflows in the "
+                             f"ball: alpha = {alpha!r}, p = {p!r}")
+        ends = np.searchsorted(np.flatnonzero(keep)[fin], ends)  # now in weights
+        w1, w2 = w1[fin], w2[fin]
+        lo = 0
+        for hi in ends.tolist():
+            acc1 += float(np.sum(w1[lo:hi]))
+            acc2 += float(np.sum(w2[lo:hi]))
+            count += hi - lo
+            lo = hi
+            if count >= per_batch:
+                vals1.append(acc1 / count)
+                vals2.append(acc2 / count)
+                acc1 = acc2 = 0.0
+                count = 0
 
     vals1 = np.asarray(vals1)
     vals2 = np.asarray(vals2)

@@ -435,6 +435,19 @@ class TestGeometryCommand:
                      {"n_triples": 10, "c_lo": 5.0, "c_hi": 2.0})
         assert main(["geometry-test", "--config", cfg]) == EXIT_CONFIG
 
+    # numpy's uniform draw used to end in OverflowError, exit 1
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("key,value", [
+        ("c_hi", ".inf"), ("c_lo", ".inf"), ("box", ".inf"), ("box", "1.0e+308")])
+    def test_non_finite_draw_range_is_config_error(self, tmp_path, capsys,
+                                                   key, value, dry_run):
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(f"n_triples: 10\n{key}: {value}\n")
+        assert main(["geometry-test", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: geometry-test: {key}=")
+
 
 class TestWeightsCommand:
     def test_power_weight_table(self, tmp_path, capsys):

@@ -72,6 +72,12 @@ class TestQuasiDistanceValues:
         with pytest.raises(ValueError):
             QuasiMetricParams(c=0.5)
 
+    # c = inf made every x term NaN, and the A_p sampler then never returned
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_c_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="anisotropy c must be finite"):
+            QuasiMetricParams(c=c)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
         for d in (1, 2, 3):
@@ -84,6 +90,24 @@ class TestQuasiDistanceValues:
                 for i in range(50)
             ]
             np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("slant_sign", [1, -1])
+@pytest.mark.parametrize("c", [1.0, 2.7])
+def test_symmetrized_batch_equals_the_two_call_form(d, slant_sign, c):
+    # the one-pass form shares the time and velocity terms and negates the
+    # reverse slant; that must not change a single bit
+    rng = np.random.default_rng(d)
+    params = QuasiMetricParams(c=c, slant_sign=slant_sign)
+    for n in (1, 7, 2000):
+        z = random_points(rng, n, d)
+        arrays = random_points(rng, n, d)
+        scalars = (arrays[0][0], arrays[1][0], arrays[2][0])
+        for z0 in (arrays, scalars):
+            for a, b in ((z, z0), (z0, z)):
+                want = quasi_distance_batch(*a, *b, params) + quasi_distance_batch(*b, *a, params)
+                assert np.array_equal(symmetrized_distance_batch(*a, *b, params), want)
 
 
 @pytest.mark.parametrize("slant_sign", [1, -1])

@@ -1,6 +1,7 @@
 """Muckenhoupt A_p scanning, the kinetic A_p functional, product weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from kfplab.geometry import PhasePoint, QuasiMetricParams, symmetrized_distance_batch
+from kfplab.geometry import (
+    PhasePoint,
+    QuasiMetricParams,
+    quasi_distance_batch,
+    symmetrized_distance_batch,
+)
 from kfplab.weights import (
     IntervalFamily,
     ProductWeight,
@@ -176,6 +182,81 @@ class TestApConstant:
             ap_constant_1d(power(0.5), 1.0, SMALL_FAMILY)
 
 
+def _round_loop_kinetic(alpha, p, r, z0, c, T, n_samples, rng):
+    """The sampler as one rng.uniform round per loop pass, with the
+    symmetrized distance as two quasi_distance_batch calls: the reference
+    the block sampler must reproduce bit for bit, generator state included."""
+    d, params, dual = z0.d, QuasiMetricParams(c=c), -alpha / (p - 1.0)
+    t_rad, x_rad, v_rad = _box_radii(r, c)
+    t_hi, t_lo = min(z0.t + t_rad, T), z0.t - t_rad
+    vals1, vals2 = [], []
+    per_batch = max(1, n_samples // 20)
+    for _ in range(20):
+        acc1 = acc2 = 0.0
+        count = 0
+        while count < per_batch:
+            m = per_batch * 2
+            t = rng.uniform(t_lo, t_hi, size=m)
+            eta = rng.uniform(-1.0, 1.0, size=(m, d))
+            wv = rng.uniform(-1.0, 1.0, size=(m, d))
+            if d > 1:
+                ok = (np.linalg.norm(eta, axis=1) < 1) & (np.linalg.norm(wv, axis=1) < 1)
+                t, eta, wv = t[ok], eta[ok], wv[ok]
+            x = z0.x - (t - z0.t)[:, None] * z0.v + x_rad * eta
+            v = z0.v + v_rad * wv
+            rho = (quasi_distance_batch(t, x, v, z0.t, z0.x, z0.v, params)
+                   + quasi_distance_batch(z0.t, z0.x, z0.v, t, x, v, params))
+            keep = rho < r
+            if not np.any(keep):
+                continue
+            ax = np.linalg.norm(x[keep], axis=1) if d > 1 else np.abs(x[keep, 0])
+            with np.errstate(divide="ignore"):
+                w1 = ax ** alpha
+                w2 = ax ** dual
+            fin = np.isfinite(w1) & np.isfinite(w2)
+            acc1 += float(np.sum(w1[fin]))
+            acc2 += float(np.sum(w2[fin]))
+            count += int(np.sum(fin))
+        vals1.append(acc1 / count)
+        vals2.append(acc2 / count)
+    vals1, vals2 = np.asarray(vals1), np.asarray(vals2)
+    per = vals1 * vals2 ** (p - 1.0)
+    value = float(np.mean(vals1) * np.mean(vals2) ** (p - 1.0))
+    return value, float(np.std(per, ddof=1) / math.sqrt(20))
+
+
+class TestKineticStreamExactness:
+    @pytest.mark.parametrize("n_samples", [1, 19, 20, 401, 5000])
+    @pytest.mark.parametrize("T", [math.inf, 0.05])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_block_sampler_equals_the_round_loop(self, d, T, n_samples):
+        cases = [(alpha, p) for alpha in (-0.5, 0.0, 0.5) for p in (1.5, 2.0, 3.0)
+                 if alpha < p - 1.0]
+        for i, (alpha, p) in enumerate(cases):
+            seed = [d, n_samples, i, int(math.isinf(T))]
+            z0 = PhasePoint(0.0, np.linspace(0.3, -0.4, d), np.linspace(0.8, -0.2, d))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = kinetic_ap_functional(alpha, p, 0.9, z0, c=1.7, T=T,
+                                        n_samples=n_samples, rng=got_rng)
+            want = _round_loop_kinetic(alpha, p, 0.9, z0, 1.7, T, n_samples, want_rng)
+            assert got == want
+            assert got_rng.random() == want_rng.random()
+
+    # drawing every open round at once, without the draw budget, peaked at
+    # 109 MB (d = 1) and 120 MB (d = 2); the round loop peaks near 7 MB
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_large_call_stays_within_the_draw_budget(self, d):
+        z0 = PhasePoint(0.5, np.full(d, 1.5), np.full(d, 0.8))
+        tracemalloc.start()
+        try:
+            kinetic_ap_functional(0.5, 2.0, 1.0, z0, c=1.5, n_samples=400_000,
+                                  rng=np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
 class TestKineticApFunctional:
     def test_alpha_zero_gives_exactly_one(self):
         z0 = PhasePoint(0.0, np.array([2.0]), np.array([-1.0]))
@@ -293,6 +374,27 @@ class TestKineticApFunctional:
         z0 = PhasePoint(2.0, np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             kinetic_ap_functional(0.5, 2.0, 1.0, z0, T=0.0)
+
+    # c = inf, r = 1e60 and the overflowing power used to loop forever,
+    # r = inf and r = 1e200 ended in a numpy OverflowError, p = inf returned
+    # a value and n_samples < 1 ran 20 samples
+    @pytest.mark.parametrize("alpha,p,r,c,n_samples,match", [
+        (0.5, 2.0, 1.0, math.inf, 20, "anisotropy c"),
+        (0.5, 2.0, math.inf, 1.0, 20, "r must be finite"),
+        (0.5, 2.0, math.nan, 1.0, 20, "r must be finite"),
+        (0.5, 2.0, 1e200, 1.0, 20, r"r = 1e\+200 is too large"),
+        (0.5, 2.0, 1e60, 1.0, 20, r"r = 1e\+60 is too large"),
+        (0.5, math.inf, 1.0, 1.0, 20, "p must be finite"),
+        (0.5, 2.0, 1.0, 1.0, 0, "n_samples must be at least 1"),
+        (0.5, 2.0, 1.0, 1.0, -5, "n_samples must be at least 1"),
+        (-0.5, 1.001, 0.5, 1.0, 200, r"overflows in the ball: alpha = -0.5, p = 1.001"),
+    ], ids=["c_inf", "r_inf", "r_nan", "r_1e200", "r_1e60", "p_inf",
+            "n_samples_0", "n_samples_neg", "power_overflow"])
+    def test_bad_input_names_the_argument(self, alpha, p, r, c, n_samples, match):
+        z0 = PhasePoint(0.0, np.array([10.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match=match):
+            kinetic_ap_functional(alpha, p, r, z0, c=c, n_samples=n_samples,
+                                  rng=np.random.default_rng(1))
 
 
 class TestProductWeight:

@@ -291,15 +291,23 @@ _Validator = extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
     "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
 
 
+_FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_config(command: str, path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        cfg = yaml.load(text, Loader=_FAST_LOADER)
+    except Exception:
+        # libyaml words its errors differently: SafeLoader's result or
+        # error stands, so every message matches the pure-Python parser's
+        try:
+            cfg = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):
@@ -403,6 +411,13 @@ def _build_sections(command: str, cfg: dict) -> dict:
                                   f"finite draw range")
         if window["c_hi"] < window["c_lo"]:
             raise ConfigError("geometry-test: c_hi must not fall below c_lo")
+        built["dims"] = cfg.get("dims", [1, 2, 3])
+        # the largest distance term sums d squared slants x - x0 + (t - t0) v0,
+        # each at most 2 box (1 + box) in size
+        slant = 2.0 * window["box"] * (1.0 + window["box"])
+        if not math.isfinite(max(built["dims"]) * slant * slant):
+            raise ConfigError(f"geometry-test: box={window['box']!r} overflows "
+                              f"the quasi-distance terms")
         built["window"] = window
     if command == "maximal-bench":
         try:
@@ -482,10 +497,9 @@ def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
 def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
                        workers: int) -> None:
     n = cfg["n_triples"]
-    dims = cfg.get("dims", [1, 2, 3])
     c_lo, c_hi, box = built["window"].values()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for d in dims:
+    for d in built["dims"]:
         bad_sym = 0
         bad_tri = 0
         checked = 0
@@ -500,8 +514,10 @@ def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
             d_z0_z = quasi_distance_batch(t0, x0, v0, t, x, v, params)
             d_z_z1 = quasi_distance_batch(t, x, v, t1, x1, v1, params)
             d_z1_z0 = quasi_distance_batch(t1, x1, v1, t0, x0, v0, params)
-            bad_sym += int(np.sum(d_z_z0 > 2.0 * d_z0_z))
-            bad_tri += int(np.sum(d_z_z0 > 2.0 * (d_z_z1 + d_z1_z0)))
+            # a non-finite distance checks nothing, so it counts as a violation
+            finite = np.isfinite(d_z_z0 + d_z0_z + d_z_z1 + d_z1_z0)
+            bad_sym += int(np.sum(~(finite & (d_z_z0 <= 2.0 * d_z0_z))))
+            bad_tri += int(np.sum(~(finite & (d_z_z0 <= 2.0 * (d_z_z1 + d_z1_z0)))))
             checked += m
         print(f"checked {checked} triples in d={d}: "
               f"quasi_symmetry violations={bad_sym}, "

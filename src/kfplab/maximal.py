@@ -14,6 +14,11 @@ Every cylinder sum is numpy's pairwise sum over one contiguous row holding
 the cylinder's members in t, then x, then v order, so the results do not
 depend on how many fields are swept together, nor on how the sweep chunks
 its centers and gathers to stay within _BLOCK elements.
+
+The membership masks and member rows depend only on (grid, family, field
+count, _BLOCK).  They form a plan that the maximal, sharp and count sweeps
+walk alike, and the last plan within _PLAN_BUDGET bytes is kept, so a
+repeated sweep only gathers, sums and max-scatters.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ __all__ = [
 
 _STRIDE_FRACTION = 0.25  # center spacing per axis, as a share of the extent
 _BLOCK = 1 << 16         # elements per gathered block and per center chunk of _sweep
+_PLAN_BUDGET = 3 << 18   # bytes of the one kept sweep plan, also held while one is built
+_kept_plan = (None, ())  # (key, chunks) of the last whole plan within budget
 
 
 def _x_extent(c: float, r: float) -> float:
@@ -134,37 +141,26 @@ def _axis_dist2(nodes: np.ndarray, centers: np.ndarray, period: float, d: int) -
     return out
 
 
-def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -> np.ndarray:
-    """Core pass over every family cylinder.
+def _plan_chunks(spec: GridSpec, fam: CylinderFamily, m: int):
+    """Yield the membership geometry of every sweep chunk as
+    (scale, lo, hi, v_in, x_in, groups).
 
-    fields is a stacked (m, n_t, n_x^d, n_v^d) array (ignored for mode
-    'count').  Returns the pointwise max of cylinder averages ('maximal'),
-    of mean absolute deviations ('sharp'), or per-scale membership counts
-    ('count').
-
-    One pass per (r, t1) covers every (v1, x1) center pair, in chunks of
-    velocity centers sized so that the x-membership mask, its distances and
-    the max-scatter temporaries hold at most _BLOCK elements.  Within a
-    chunk, cylinders with equal (x-member, v-member) counts are gathered by
-    np.take into C-contiguous (m, cylinders, count) blocks of at most
-    _BLOCK elements and summed along their rows.  The max-scatter is a
-    masked max over x-centers, then over velocity centers.  Max is exact
-    and every candidate is >= 0, so the scatter order and the zero fill do
-    not change the result.
+    [lo, hi) is the window of time nodes of one (r, t1) pass, v_in the
+    (n_vc, n_v) velocity membership of the chunk's velocity centers and
+    x_in the (n_vc, n_xc, hi - lo, n_x) x-membership of every (v1, x1)
+    center on every window slice.  The step over velocity centers keeps
+    x_in, its distances and the max-scatter temporaries of m fields within
+    _BLOCK elements.  Each group (part, rows, vl) lists cylinders with equal
+    (x-member, v-member) counts, at most _BLOCK elements for m fields: part
+    indexes the chunk's n_vc * n_xc centers, and rows + vl (shapes
+    (P, nx, 1) and (P, 1, nv), int32 on any grid of at most 2^31 nodes)
+    are the flat member indices in t, x, v order.
     """
     d = spec.d
     n_x, n_v = spec.n_x ** d, spec.n_v ** d
-    tn = spec.t_nodes
-    if mode == "count":
-        m = 1
-        out = np.zeros((len(fam.radii), spec.n_t, n_x, n_v), dtype=np.int64)
-    else:
-        m = fields.shape[0]
-        vals = fields.reshape(m, spec.n_t * n_x * n_v)
-        src = np.abs(vals) if mode == "maximal" else vals
-        out = np.zeros((m, spec.n_t, n_x, n_v))
-    xn, vn = spec.x_nodes, spec.v_nodes
+    tn, xn, vn = spec.t_nodes, spec.x_nodes, spec.v_nodes
     px, pv = 2.0 * spec.L_x, 2.0 * spec.L_v
+    idx_t = np.int32 if spec.n_t * n_x * n_v <= 2 ** 31 else np.intp
     for s_idx, r in enumerate(fam.radii):
         r2 = r * r
         R3 = _x_extent(fam.c, r)
@@ -183,21 +179,16 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
             if lo >= hi:
                 continue
             lag = (tn[lo:hi] - t1)[:, None]
-            sl = out[s_idx, lo:hi] if mode == "count" else out[:, lo:hi]
             step = max(1, _BLOCK // (m * (hi - lo) * n_x * max(n_xc, n_v)))
             for c0 in range(0, len(v1s), step):
                 vc = slice(c0, c0 + step)
                 n_vc = len(v1s[vc])
-                # x-membership of every (v1, x1) center on every window slice
                 shift = x1s[:, None, :] - lag * v1s[vc, None, None, :]
                 x_in = _axis_dist2(xn, shift, px, d).reshape(n_vc, n_xc, hi - lo, n_x) < R2
-                if mode == "count":
-                    sl += np.tensordot(np.sum(x_in, axis=1), v_in[vc], axes=(0, 0))
-                    continue
                 n_in = np.sum(x_in, axis=(2, 3)).ravel()
                 key = n_in * (n_v + 1) + np.repeat(n_vin[vc], n_xc)
                 flat = x_in.reshape(n_vc * n_xc, -1)
-                cand = np.zeros((m, n_vc * n_xc))
+                groups = []
                 for k in np.unique(key[n_in > 0]):
                     nx_mem, nv_mem = divmod(int(k), n_v + 1)
                     count = nx_mem * nv_mem
@@ -208,20 +199,82 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
                         _, pos = np.nonzero(flat[part])
                         _, vl = np.nonzero(v_in[c0 + part // n_xc])
                         rows = (lo * n_x + pos).reshape(len(part), nx_mem, 1) * n_v
-                        idx = (rows + vl.reshape(len(part), 1, nv_mem)).reshape(len(part), count)
-                        block = np.take(src, idx, axis=1)
-                        avg = np.sum(block, axis=-1) / count
-                        if mode == "sharp":
-                            dev = np.subtract(block, avg[..., None], out=block)
-                            avg = np.sum(np.abs(dev, out=dev), axis=-1) / count
-                        cand[:, part] = avg
-                cand = cand.reshape(m, n_vc, n_xc, 1, 1)
-                best = np.max(np.where(x_in, cand, 0.0), axis=2)
-                best = np.max(np.where(v_in[vc, None, None, :], best[..., None], 0.0), axis=1)
-                np.maximum(sl, best, out=sl)
+                        groups.append((part, rows.astype(idx_t),
+                                       vl.reshape(len(part), 1, nv_mem).astype(idx_t)))
+                yield s_idx, lo, hi, v_in[vc], x_in, tuple(groups)
+
+
+def _plan(spec: GridSpec, fam: CylinderFamily, m: int):
+    """The chunks of _plan_chunks, from _kept_plan when its key matches.  A
+    new plan streams as it is built and replaces the kept one if its arrays
+    fit _PLAN_BUDGET bytes."""
+    global _kept_plan
+    key = (spec, fam, m, _BLOCK)
+    kept_key, chunks = _kept_plan
+    if kept_key == key:
+        yield from chunks
+        return
+    _kept_plan = (None, ())
+    kept, size = [], 0
+    for chunk in _plan_chunks(spec, fam, m):
+        yield chunk
+        if kept is not None:
+            _, _, _, v_in, x_in, groups = chunk
+            size += v_in.nbytes + x_in.nbytes + sum(a.nbytes for g in groups for a in g)
+            if size <= _PLAN_BUDGET:
+                kept.append(chunk)
+            else:
+                kept = None
+    if kept is not None:
+        _kept_plan = (key, tuple(kept))
+
+
+def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -> np.ndarray:
+    """Core pass over every family cylinder.
+
+    fields is a stacked (m, n_t, n_x^d, n_v^d) array (ignored for mode
+    'count').  Returns the pointwise max of cylinder averages ('maximal'),
+    of mean absolute deviations ('sharp'), or per-scale membership counts
+    ('count').
+
+    The sweep walks the chunks of _plan.  Per chunk, each group of
+    cylinders is gathered by np.take into one C-contiguous (m, cylinders,
+    count) block and summed along its rows.  The max-scatter is a masked max
+    over x-centers, then over velocity centers.  Max is exact and every
+    candidate is >= 0, so the scatter order and the zero fill do not change
+    the result.
+    """
+    n_x, n_v = spec.n_x ** spec.d, spec.n_v ** spec.d
+    if mode == "count":
+        m = 1
+        out = np.zeros((len(fam.radii), spec.n_t, n_x, n_v), dtype=np.int64)
+    else:
+        m = fields.shape[0]
+        vals = fields.reshape(m, spec.n_t * n_x * n_v)
+        src = np.abs(vals) if mode == "maximal" else vals
+        out = np.zeros((m, spec.n_t, n_x, n_v))
+    for s_idx, lo, hi, v_in, x_in, groups in _plan(spec, fam, m):
+        if mode == "count":
+            out[s_idx, lo:hi] += np.tensordot(np.sum(x_in, axis=1), v_in, axes=(0, 0))
+            continue
+        n_vc, n_xc = x_in.shape[:2]
+        cand = np.zeros((m, n_vc * n_xc))
+        for part, rows, vl in groups:
+            count = rows.shape[1] * vl.shape[2]
+            block = np.take(src, (rows + vl).reshape(len(part), count), axis=1)
+            avg = np.sum(block, axis=-1) / count
+            if mode == "sharp":
+                dev = np.subtract(block, avg[..., None], out=block)
+                avg = np.sum(np.abs(dev, out=dev), axis=-1) / count
+            cand[:, part] = avg
+        cand = cand.reshape(m, n_vc, n_xc, 1, 1)
+        best = np.max(np.where(x_in, cand, 0.0), axis=2)
+        best = np.max(np.where(v_in[:, None, None, :], best[..., None], 0.0), axis=1)
+        sl = out[:, lo:hi]
+        np.maximum(sl, best, out=sl)
     if mode == "count":
         return out.reshape((len(fam.radii),) + spec.shape)
-    return out.reshape((fields.shape[0],) + spec.shape)
+    return out.reshape((m,) + spec.shape)
 
 
 def _resolve_family(spec: GridSpec, c: float, T: float,

@@ -18,6 +18,7 @@ from jsonschema.validators import validator_for
 
 import kfplab
 from kfplab import cli
+from kfplab import maximal as maximal_module
 from kfplab.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, SCHEMAS, main
 from kfplab.coefficients import CoefficientField
 from kfplab.grids import GridField, GridSpec
@@ -106,6 +107,18 @@ class TestSolveCommand:
         path.write_text("grid: [unclosed\n")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    # libyaml parses first; a failure is re-parsed so SafeLoader words it
+    @pytest.mark.parametrize("text", ["grid: [1, 2\n", "a: b: c\n", "\tkey: 1\n"],
+                             ids=["unclosed-flow", "nested-mapping", "leading-tab"])
+    def test_invalid_yaml_message_is_safe_loaders(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        with pytest.raises(yaml.YAMLError) as want:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config is not valid YAML: {want.value}\n")
 
     def test_off_lattice_mode_is_config_error(self, tmp_path, capsys):
         payload = _steady_solve_config()
@@ -430,6 +443,25 @@ class TestGeometryCommand:
         assert "checked 20000 triples in d=1" in out
         assert "checked 20000 triples in d=2" in out
 
+    def test_largest_box_below_the_overflow_still_checks(self, tmp_path, capsys):
+        # d = 3 slants of 2 box (1 + box) per axis square to about 1.2e305
+        cfg = _write(tmp_path, "geo.yaml",
+                     {"n_triples": 2000, "dims": [3], "box": 1.0e+76})
+        assert main(["geometry-test", "--config", cfg, "--out",
+                     str(tmp_path)]) == EXIT_OK
+        assert "checked 2000 triples in d=3" in capsys.readouterr().out
+
+    def test_non_finite_distance_is_a_violation(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "quasi_distance_batch",
+                            lambda t, *args: np.full(len(t), math.inf))
+        cfg = _write(tmp_path, "geo.yaml", {"n_triples": 10, "dims": [1]})
+        assert main(["geometry-test", "--config", cfg, "--out",
+                     str(tmp_path)]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert "quasi_symmetry violations=10, quasi_triangle violations=10" in captured.out
+        assert captured.err.startswith("FAIL quasi_symmetry")
+
     def test_bad_c_window_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "geo.yaml",
                      {"n_triples": 10, "c_lo": 5.0, "c_hi": 2.0})
@@ -438,7 +470,8 @@ class TestGeometryCommand:
     # numpy's uniform draw used to end in OverflowError, exit 1
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
     @pytest.mark.parametrize("key,value", [
-        ("c_hi", ".inf"), ("c_lo", ".inf"), ("box", ".inf"), ("box", "1.0e+308")])
+        ("c_hi", ".inf"), ("c_lo", ".inf"), ("box", ".inf"), ("box", "1.0e+308"),
+        ("box", "1.0e+200")])
     def test_non_finite_draw_range_is_config_error(self, tmp_path, capsys,
                                                    key, value, dry_run):
         cfg = tmp_path / "geo.yaml"
@@ -481,6 +514,25 @@ class TestMaximalCommand:
         for row in rows:
             assert np.isfinite(float(row["ratio"]))
             assert float(row["seconds"]) >= 0.0
+
+    def test_cold_and_warm_plan_give_the_same_csv(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(maximal_module, "_kept_plan", (None, ()))
+        cfg = _write(tmp_path, "m.yaml", {
+            "grid": {"d": 1, "n_t": 6, "n_x": 8, "n_v": 8, "t_lo": 0.0,
+                     "t_hi": 1.0, "L_x": 2.0, "L_v": 2.0},
+            "norm": {"p": 2.0, "r": [2.0], "q": 2.0},
+            "corpus": {"n_fields": 3},
+        })
+        tables = []
+        for run in ("cold", "warm"):
+            assert main(["maximal-bench", "--config", cfg, "--out",
+                         str(tmp_path / run), "--seed", "5"]) == EXIT_OK
+            assert maximal_module._kept_plan[0] is not None
+            with open(tmp_path / run / "maximal.csv", newline="") as fh:
+                tables.append([{k: v for k, v in row.items() if k != "seconds"}
+                               for row in csv.DictReader(fh)])
+        assert tables[0] == tables[1] and len(tables[0]) == 2
 
     # (c r)^3 used to overflow into a traceback
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])

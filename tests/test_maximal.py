@@ -246,6 +246,63 @@ class TestBatchInvariance:
         assert np.array_equal(_sweep(fields, spec, fam, mode), want)
 
 
+class TestPlanCache:
+    @pytest.mark.parametrize("spec", [CORPUS_SPEC, TINY_D2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("mode", ["maximal", "sharp", "count"])
+    def test_cold_warm_and_over_budget_plans_agree(self, monkeypatch, spec, mode):
+        monkeypatch.setattr(maximal_module, "_kept_plan", (None, ()))
+        fields = np.random.default_rng(102).standard_normal((3,) + spec.shape)
+        fam = CylinderFamily.for_grid(spec, c=2.0)
+        m = 1 if mode == "count" else 3
+        cold = _sweep(fields, spec, fam, mode)
+        assert maximal_module._kept_plan[0] == (spec, fam, m, maximal_module._BLOCK)
+        built = []
+        real = maximal_module._plan_chunks
+        monkeypatch.setattr(maximal_module, "_plan_chunks",
+                            lambda *args: built.append(args) or real(*args))
+        warm = _sweep(fields, spec, fam, mode)
+        assert built == []
+        monkeypatch.setattr(maximal_module, "_kept_plan", (None, ()))
+        monkeypatch.setattr(maximal_module, "_PLAN_BUDGET", 0)
+        streamed = _sweep(fields, spec, fam, mode)
+        assert len(built) == 1 and maximal_module._kept_plan == (None, ())
+        assert np.array_equal(warm, cold) and np.array_equal(streamed, cold)
+
+    def test_block_is_part_of_the_key(self, monkeypatch):
+        fields = np.random.default_rng(103).standard_normal((3,) + TINY_D2.shape)
+        fam = CylinderFamily.for_grid(TINY_D2)
+        _sweep(fields, TINY_D2, fam, "sharp")
+        assert maximal_module._kept_plan[0] == (TINY_D2, fam, 3, maximal_module._BLOCK)
+        blocks = []
+        real = maximal_module._plan_chunks
+        monkeypatch.setattr(maximal_module, "_plan_chunks",
+                            lambda *args: blocks.append(maximal_module._BLOCK) or real(*args))
+        monkeypatch.setattr(maximal_module, "_BLOCK", 64)
+        _sweep(fields, TINY_D2, fam, "sharp")
+        assert blocks == [64]
+
+    def test_cached_toolbox_plan_fits_the_budget(self, monkeypatch):
+        # the perfbench toolbox sweep: 4 fields on a 12^3 grid, c = 1
+        monkeypatch.setattr(maximal_module, "_kept_plan", (None, ()))
+        fields = np.random.default_rng(104).standard_normal((4,) + CORPUS_SPEC.shape)
+        fam = CylinderFamily.for_grid(CORPUS_SPEC)
+        with monkeypatch.context() as mp:
+            # a sweep that keeps no plan first, so numpy's lazy state is set up
+            mp.setattr(maximal_module, "_PLAN_BUDGET", 0)
+            _sweep(fields, CORPUS_SPEC, fam, "maximal")
+        tracemalloc.start()
+        try:
+            _sweep(fields, CORPUS_SPEC, fam, "maximal")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        key, chunks = maximal_module._kept_plan
+        assert key is not None
+        assert sum(v_in.nbytes + x_in.nbytes + sum(a.nbytes for g in groups for a in g)
+                   for _, _, _, v_in, x_in, groups in chunks) <= maximal_module._PLAN_BUDGET
+        assert held <= 1_000_000  # its arrays and their Python objects
+
+
 class TestSweepMemory:
     def test_d2_sharp_sweep_peak_stays_bounded(self):
         # the temporaries stay within the chunk budget; unchunked, one pass

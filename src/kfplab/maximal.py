@@ -16,9 +16,9 @@ depend on how many fields are swept together, nor on how the sweep chunks
 its centers and gathers to stay within _BLOCK elements.
 
 The membership masks and member rows depend only on (grid, family, field
-count, _BLOCK).  They form a plan that the maximal, sharp and count sweeps
-walk alike, and the last plan within _PLAN_BUDGET bytes is kept, so a
-repeated sweep only gathers, sums and max-scatters.
+count, _BLOCK).  They form a plan that the maximal and sharp sweeps and
+coverage_counts walk alike, and the last plan within _PLAN_BUDGET bytes is
+kept, so a repeated sweep only gathers, sums and max-scatters.
 """
 
 from __future__ import annotations
@@ -232,10 +232,9 @@ def _plan(spec: GridSpec, fam: CylinderFamily, m: int):
 def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -> np.ndarray:
     """Core pass over every family cylinder.
 
-    fields is a stacked (m, n_t, n_x^d, n_v^d) array (ignored for mode
-    'count').  Returns the pointwise max of cylinder averages ('maximal'),
-    of mean absolute deviations ('sharp'), or per-scale membership counts
-    ('count').
+    fields is a stacked (m, n_t, n_x^d, n_v^d) array.  Returns the pointwise
+    max of cylinder averages ('maximal') or of mean absolute deviations
+    ('sharp').
 
     The sweep walks the chunks of _plan.  Per chunk, each group of
     cylinders is gathered by np.take into one C-contiguous (m, cylinders,
@@ -245,18 +244,11 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
     the result.
     """
     n_x, n_v = spec.n_x ** spec.d, spec.n_v ** spec.d
-    if mode == "count":
-        m = 1
-        out = np.zeros((len(fam.radii), spec.n_t, n_x, n_v), dtype=np.int64)
-    else:
-        m = fields.shape[0]
-        vals = fields.reshape(m, spec.n_t * n_x * n_v)
-        src = np.abs(vals) if mode == "maximal" else vals
-        out = np.zeros((m, spec.n_t, n_x, n_v))
-    for s_idx, lo, hi, v_in, x_in, groups in _plan(spec, fam, m):
-        if mode == "count":
-            out[s_idx, lo:hi] += np.tensordot(np.sum(x_in, axis=1), v_in, axes=(0, 0))
-            continue
+    m = fields.shape[0]
+    vals = fields.reshape(m, spec.n_t * n_x * n_v)
+    src = np.abs(vals) if mode == "maximal" else vals
+    out = np.zeros((m, spec.n_t, n_x, n_v))
+    for _, lo, hi, v_in, x_in, groups in _plan(spec, fam, m):
         n_vc, n_xc = x_in.shape[:2]
         cand = np.zeros((m, n_vc * n_xc))
         for part, rows, vl in groups:
@@ -272,8 +264,6 @@ def _sweep(fields: np.ndarray, spec: GridSpec, fam: CylinderFamily, mode: str) -
         best = np.max(np.where(v_in[:, None, None, :], best[..., None], 0.0), axis=1)
         sl = out[:, lo:hi]
         np.maximum(sl, best, out=sl)
-    if mode == "count":
-        return out.reshape((len(fam.radii),) + spec.shape)
     return out.reshape((m,) + spec.shape)
 
 
@@ -308,7 +298,11 @@ def sharp(f: GridField, c: float = 1.0, T: float = math.inf,
 
 def coverage_counts(spec: GridSpec, fam: CylinderFamily) -> np.ndarray:
     """Per-scale count of family cylinders containing each grid node."""
-    return _sweep(np.empty(0), spec, fam, "count")
+    out = np.zeros((len(fam.radii), spec.n_t, spec.n_x ** spec.d, spec.n_v ** spec.d),
+                   dtype=np.int64)
+    for s_idx, lo, hi, v_in, x_in, _ in _plan(spec, fam, 1):
+        out[s_idx, lo:hi] += np.tensordot(np.sum(x_in, axis=1), v_in, axes=(0, 0))
+    return out.reshape((len(fam.radii),) + spec.shape)
 
 
 def _stack(corpus) -> tuple[GridSpec, np.ndarray]:

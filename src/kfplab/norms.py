@@ -49,7 +49,8 @@ class MixedNormSpec:
     product weight.  variant 'x_weighted' integrates |x|^alpha jointly over
     (x, t) innermost and requires alpha in (-1, p-1); the time exponent q is
     ignored there.  A weight's finite bound K is checked against its scanned
-    Muckenhoupt constants at construction.
+    Muckenhoupt constants at construction.  Every exponent is finite and
+    exceeds 1; T = inf means no time cut, and T may not be NaN.
     """
 
     p: float
@@ -64,8 +65,11 @@ class MixedNormSpec:
         object.__setattr__(self, "r", tuple(float(ri) for ri in self.r))
         if self.variant not in ("time_outer", "x_weighted"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not self.p > 1 or not self.q > 1 or any(not ri > 1 for ri in self.r):
-            raise ValueError("all exponents must exceed 1")
+        for key, values in (("p", (self.p,)), ("r", self.r), ("q", (self.q,))):
+            if not all(1 < v < math.inf for v in values):
+                raise ValueError(f"exponent {key} must be finite and exceed 1")
+        if math.isnan(self.T):
+            raise ValueError("time cut T must not be NaN")
         if not self.r:
             raise ValueError("need at least one velocity exponent")
         if self.variant == "x_weighted" and not (-1.0 < self.alpha < self.p - 1.0):

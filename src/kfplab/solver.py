@@ -14,18 +14,8 @@ E is cubic in tau on each coefficient piece.  So where t - tau stays in
 piece j from a cut ta = t - b on, b a breakpoint, the kernel factors into
 exp(-X_t(ta)) exp(-lam (tau - ta) - Q_j(tau) + Q_j(ta)), with X_t(ta) the
 exponent reached at ta and Q_j the cubic of piece j: only the first factor
-depends on t.  One driver, _history, does the remaining integral for every
-source kind and returns it at every output time as one (time, lattice)
-stack.  A term's output times share one node set of Gauss-Legendre panels,
-graded geometrically away from tau = 0 and from each cut where the kernel
-steepens, split at every cut and profile jump, and contracted in blocks of
-at most _BLOCK lattice elements: one kernel and one product per piece
-present, and exp(-X_t(ta)) once per row and segment.  Each factor is cut to
-zero where its exponent passes _EXPONENT_CUT, and a piece stops
-at its first block wholly past the cut, as the exponent never decreases
-along tau.  A pulse's truncation points are no jumps: it is below e^{-72}
-of its peak there, the size of the truncation itself.  A source kind
-supplies its weights and its shifted transform at the nodes:
+depends on t.  _history integrates over the nodes of _node_plan, and each
+source kind supplies its weights and its shifted transform at the nodes:
 
 - gaussian terms have spatial transforms known in closed form at any
   frequency; the continuum transform of a rapidly decaying profile becomes
@@ -301,8 +291,8 @@ class SolveConfig:
     growth: float = 1.3
 
     def __post_init__(self):
-        if self.quad_order < 4:
-            raise ValueError("quad_order must be at least 4")
+        if not 4 <= self.quad_order <= 100:
+            raise ValueError("quad_order must lie in [4, 100]")
         if not self.growth > 1:
             raise ValueError("panel growth must exceed 1")
         if self.h0 is not None and not 0 < self.h0 <= _H_MAX:
@@ -410,41 +400,21 @@ def _cubic(qkk, qkv, qvv, tau, out=None):
     return E
 
 
-def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
-             knots=(), shared=False):
-    """The history integral of one source on the lattice (ks, xis) at every
-    output time, shape (len(t_nodes),) + lattice, zero at the output times
-    up to the start of the source window (lo, hi).
-
-    source(ts, taus) returns its weights at the output times ts and nodes
-    taus, broadcastable to (len(ts), len(taus)), and its transform at
-    (k, xi - tau k), broadcastable to (len(taus),) + lattice.  If shared, ts
-    holds every output time past lo and the transform must not depend on t;
-    otherwise ts is one time.  The node set of ts is refined to fine_step
-    over the span of their windows and split at t - b and t - s for each
-    member t, breakpoint b and knot s (a time where the source jumps or
-    kinks).  A member stops once X_t is past the cut everywhere.
-    """
-    mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
-                    else ((a.matrix,), ()))
-    rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis)
-    quads = [_quadratics(m, ks, xis) for m in mats]
-    # going back across these the kernel steepens, so the ladder restarts
-    steeper = [b for b, older, newer in zip(breaks, rates, rates[1:])
-               if older > newer]
+def _node_plan(t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
+    """Yield (i, ts, taus, wts, segments) per group ts = t_nodes[i:i + len(ts)]
+    of the output times past lo, window = (lo, hi): one group if shared, else
+    one per time.  taus ascend with weights wts on Gauss-Legendre panels over
+    [max(0, ts[0] - hi), ts[-1] - lo], graded geometrically from h0 away from
+    0 and afresh from each t - b, b in steeper, refined to fine_step over the
+    window and split at t - b and t - s for member t, breakpoint b and knot s
+    (a source jump or kink; a pulse's truncation points, e^{-72} below its
+    peak, are none).  The cuts t - b tile [0, ts[-1] - lo] with segments (ta,
+    tb, s0, s1, piece): taus[s0:s1] lie in (ta, tb), member m in piece[m]."""
     gl_x, gl_w = _leggauss(cfg.quad_order)
     lo, hi = window
-    lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
-    block = max(1, _BLOCK // math.prod(lattice))
-    out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
-    work_x = np.empty((block,) + lattice)
-    work_s = np.empty((block,) + lattice, dtype=complex)
     step = len(t_nodes) if shared else 1
-    work_c = np.empty((step, 2 * math.prod(lattice)))
-    for i in range(int(np.searchsorted(t_nodes, lo, side="right")),
-                   len(t_nodes), step):
-        ts, group = t_nodes[i:i + step], out[i:i + step]
+    for i in range(int(np.searchsorted(t_nodes, lo, side="right")), len(t_nodes), step):
+        ts = t_nodes[i:i + step]
         tau_hi = ts[-1] - lo
         cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
         fine = [(ts[0] - hi, tau_hi, fine_step)] if fine_step is not None else []
@@ -454,12 +424,42 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
         wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
-        taus_r = taus.reshape((-1,) + (1,) * len(lattice))
         ends = [0.0] + cuts + [tau_hi]
         bounds = np.searchsorted(taus, ends).tolist()
-        X = np.zeros(group.shape) if cuts else None  # X_t(ta) past the cuts
-        for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:]):
-            piece = np.searchsorted(breaks, ts - 0.5 * (ta + tb), side="right")
+        yield i, ts, taus, wts, [
+            (ta, tb, s0, s1, np.searchsorted(breaks, ts - 0.5 * (ta + tb), "right"))
+            for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:])]
+
+
+def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
+             knots=(), shared=False):
+    """The history integral of one source on the lattice (ks, xis) over the
+    nodes of _node_plan, shape (len(t_nodes),) + lattice.  source(ts, taus)
+    gives its weights, broadcastable to (len(ts), len(taus)), and its transform
+    at (k, xi - tau k), broadcastable to (len(taus),) + lattice and free of t
+    if shared.  A block takes one kernel and one product per piece, a row and
+    segment one exp(-X_t(ta)), each zero past _EXPONENT_CUT.  The exponent never
+    decreases along tau: a piece stops at its first block wholly past the cut,
+    and a member once X_t is past it everywhere."""
+    mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
+                    else ((a.matrix,), ()))
+    rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
+    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis)
+    quads = [_quadratics(m, ks, xis) for m in mats]
+    # going back across these the kernel steepens, so the ladder restarts
+    steeper = [b for b, older, newer in zip(breaks, rates, rates[1:]) if older > newer]
+    lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
+    block = max(1, _BLOCK // math.prod(lattice))
+    out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
+    work_x = np.empty((block,) + lattice)
+    work_s = np.empty((block,) + lattice, dtype=complex)
+    work_c = np.empty((len(t_nodes) if shared else 1, 2 * math.prod(lattice)))
+    for i, ts, taus, wts, segments in _node_plan(
+            t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
+        group = out[i:i + len(ts)]
+        taus_r = taus.reshape((-1,) + (1,) * len(lattice))
+        X = np.zeros(group.shape) if len(segments) > 1 else None  # X_t(ta)
+        for n_seg, (ta, tb, s0, s1, piece) in enumerate(segments, 1):
             alive = (np.ones(len(ts), dtype=bool) if not ta else
                      ~np.all(X > _EXPONENT_CUT, axis=tuple(range(1, X.ndim))))
             runs = [(j, slice(m[0], m[-1] + 1)) for j in np.unique(piece[alive])
@@ -494,7 +494,7 @@ def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
                 if ta:
                     group[sl] += acc[sl] * np.where(X[sl] > _EXPONENT_CUT,
                                                     0.0, np.exp(-X[sl]))
-                if tb < tau_hi:
+                if n_seg < len(segments):
                     X[sl] += _cubic(*q[j], tb - ta)
     return out
 

@@ -534,6 +534,28 @@ class TestMaximalCommand:
                                for row in csv.DictReader(fh)])
         assert tables[0] == tables[1] and len(tables[0]) == 2
 
+    # an infinite exponent made every norm 1, so both ratios read 1.0 and the
+    # run passed; a NaN cut ended in a misleading family mismatch
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("norm,key", [
+        ("{p: .inf, r: [2.0], q: 2.0}", "p"),
+        ("{p: 2.0, r: [.inf], q: .inf}", "r"),
+        ("{p: 2.0, r: [2.0], q: 2.0, T: .nan}", "T"),
+    ], ids=["p_inf", "r_q_inf", "T_nan"])
+    def test_non_finite_norm_is_config_error(self, tmp_path, capsys, norm, key,
+                                             dry_run):
+        cfg = tmp_path / "m.yaml"
+        cfg.write_text(
+            "grid: {d: 1, n_t: 5, n_x: 8, n_v: 8, t_lo: 0.0, t_hi: 1.0,"
+            " L_x: 2.0, L_v: 2.0}\n"
+            f"norm: {norm}\n"
+            "corpus: {n_fields: 2}\n")
+        assert main(["maximal-bench", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: norm: " in err and re.search(rf"\b{key}\b", err)
+        assert not (tmp_path / "maximal.csv").exists()
+
     # (c r)^3 used to overflow into a traceback
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
     @pytest.mark.parametrize("c", [".inf", "1.0e+110"])
@@ -653,11 +675,12 @@ def _dataclass_sections(payload):
     ("factor", {"x_sigma": 0.0}, "x_sigma"),
     ("factor", {"v_sigma": 0.0}, "v_sigma"),
     ("solver", {"quad_order": 3}, "quad_order"),
+    ("solver", {"quad_order": 101}, "quad_order"),
     ("solver", {"growth": 1.0}, "growth"), ("solver", {"h0": 0.0}, "h0"),
 ], ids=["d", "n_t", "n_x", "n_v", "L_x", "L_v", "profile_kind",
         "factor_kind", "boxcar_width", "pulse_width", "gaussian_x_sigma",
         "gaussian_v_sigma", "v_mode_x_sigma", "v_mode_v_sigma", "quad_order",
-        "growth", "h0"])
+        "quad_order_101", "growth", "h0"])
 def test_out_of_range_value_is_config_error_naming_the_key(
         tmp_path, capsys, where, values, key, dry_run):
     payload = _steady_solve_config()

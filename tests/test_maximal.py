@@ -254,17 +254,23 @@ class TestPlanCache:
         fields = np.random.default_rng(102).standard_normal((3,) + spec.shape)
         fam = CylinderFamily.for_grid(spec, c=2.0)
         m = 1 if mode == "count" else 3
-        cold = _sweep(fields, spec, fam, mode)
+
+        def sweep():
+            if mode == "count":
+                return coverage_counts(spec, fam)
+            return _sweep(fields, spec, fam, mode)
+
+        cold = sweep()
         assert maximal_module._kept_plan[0] == (spec, fam, m, maximal_module._BLOCK)
         built = []
         real = maximal_module._plan_chunks
         monkeypatch.setattr(maximal_module, "_plan_chunks",
                             lambda *args: built.append(args) or real(*args))
-        warm = _sweep(fields, spec, fam, mode)
+        warm = sweep()
         assert built == []
         monkeypatch.setattr(maximal_module, "_kept_plan", (None, ()))
         monkeypatch.setattr(maximal_module, "_PLAN_BUDGET", 0)
-        streamed = _sweep(fields, spec, fam, mode)
+        streamed = sweep()
         assert len(built) == 1 and maximal_module._kept_plan == (None, ())
         assert np.array_equal(warm, cold) and np.array_equal(streamed, cold)
 

@@ -223,6 +223,15 @@ class TestMixedNorm:
             MixedNormSpec(p=2.0, r=(0.5,), q=2.0)
         with pytest.raises(ValueError, match="alpha"):
             MixedNormSpec(p=2.0, r=(2.0,), q=2.0, variant="x_weighted", alpha=1.5)
+        # an infinite exponent made every norm 1, and a NaN cut kept nothing
+        # and matched no family's T
+        for kw, key in [({"p": math.inf}, "p"), ({"p": math.nan}, "p"),
+                        ({"r": (2.0, math.inf)}, "r"), ({"q": math.inf}, "q"),
+                        ({"r": (math.inf,), "q": math.inf}, "r"),
+                        ({"T": math.nan}, "T")]:
+            with pytest.raises(ValueError, match=rf"\b{key}\b"):
+                MixedNormSpec(**{"p": 2.0, "r": (2.0,), "q": 2.0, **kw})
+        assert MixedNormSpec(p=2.0, r=(2.0,), q=2.0, T=-math.inf).T == -math.inf
 
     def test_declared_weight_bound_is_checked(self):
         # [|v|^1/2]_{A_3} is 32/27, so K = 0.1 is false and K = 10 holds

@@ -587,6 +587,83 @@ class TestBlockedQuadrature:
         assert seen == want
 
 
+class TestNodePlan:
+    @given(case=st.sampled_from(["constant", "steep_d1", "steep_d2",
+                                 "boxcar_knots", "sampled"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_segments_tile_the_history_within_one_piece(self, case, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 if case == "steep_d2" else 1
+        t_nodes = np.linspace(0.0, 1.0, int(rng.integers(2, 12)))
+        if case == "constant":
+            a = _const_a(rng.uniform(0.5, 2.0), d=d)
+        else:
+            # up to three breakpoints where A jumps by up to 16x either way
+            breaks = np.sort(rng.uniform(-0.5, 1.0, int(rng.integers(1, 4))))
+            a = CoefficientField(
+                kind="time_piecewise", d=d, delta=0.05,
+                breakpoints=tuple(breaks),
+                matrices=tuple(v * (np.eye(d) + 0.3 * (1.0 - np.eye(d)))
+                               for v in rng.choice([0.5, 1.0, 3.0, 8.0],
+                                                   len(breaks) + 1)))
+        mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
+                        else ((a.matrix,), ()))
+        rates = [np.linalg.eigvalsh(m)[-1] for m in mats]
+        steeper = [b for b, older, newer in zip(breaks, rates, rates[1:])
+                   if older > newer]
+        knots, shared = (), True
+        if case == "boxcar_knots":
+            start = rng.uniform(-0.5, 0.8)
+            prof = TimeProfile(kind="boxcar", start=start,
+                               stop=start + rng.uniform(0.05, 1.0))
+            knots = window = prof.support()
+        elif case == "sampled":
+            window = (rng.uniform(-0.5, 0.5), 1.0)
+            knots = np.linspace(*window, int(rng.integers(2, 20)))
+            shared = False
+        else:
+            prof = TimeProfile(kind="pulse", center=rng.uniform(-0.3, 1.0),
+                               width=rng.uniform(0.02, 0.3))
+            window = prof.support()
+        fine_step = prof.fine_step() if shared else None
+        cfg = SolveConfig(quad_order=int(rng.integers(4, 17)),
+                          growth=rng.uniform(1.1, 2.0))
+        plan = list(solver._node_plan(t_nodes, window, cfg,
+                                      rng.uniform(1e-3, 0.3), breaks, steeper,
+                                      fine_step, knots, shared))
+
+        lo, hi = window
+        live = t_nodes[t_nodes > lo]
+        assert [tuple(ts) for _, ts, *_ in plan] == (
+            [tuple(live)] if shared and len(live) else [(t,) for t in live])
+        for i, ts, taus, wts, segments in plan:
+            assert np.array_equal(ts, t_nodes[i:i + len(ts)])
+            tau_lo, tau_hi = max(0.0, ts[0] - hi), ts[-1] - lo
+            assert tau_lo < taus[0] and taus[-1] < tau_hi
+            assert np.all(np.diff(taus) > 0) and np.all(wts > 0)
+            span = tau_hi - tau_lo
+            assert abs(np.sum(wts) - span) <= 1e-13 * span
+            # split at every t - b and t - s, the rule integrates a kink
+            # there as exactly as a polynomial
+            for c in [t - s for t in ts for s in tuple(breaks) + tuple(knots)]:
+                if tau_lo < c < tau_hi:
+                    exact = 0.5 * ((c - tau_lo) ** 2 + (tau_hi - c) ** 2)
+                    kink = np.sum(wts * np.abs(taus - c))
+                    assert abs(kink - exact) <= 1e-12 * span * span
+            assert segments[0][0] == 0.0 and segments[-1][1] == tau_hi
+            assert segments[0][2] == 0 and segments[-1][3] == len(taus)
+            for (ta, tb, s0, s1, piece), after in zip(segments, segments[1:]):
+                assert after[0] == tb > ta and after[2] == s1 >= s0
+            for ta, tb, s0, s1, piece in segments:
+                nodes = taus[s0:s1]
+                assert np.all((ta < nodes) & (nodes < tb))
+                got = a.eval(np.subtract.outer(ts, nodes), np.zeros((1, d)),
+                             np.zeros((1, d)))
+                want = np.asarray(mats)[piece][:, None]
+                assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
 class TestAdmissibleRange:
     # the estimates hold uniformly over delta I <= A <= I / delta, so the
     # default quadrature must hold there too, eigenvalues at delta^{+-1}

@@ -11,7 +11,7 @@ cylinders, averaging in t rather than requiring continuity there:
                     x_1, x_2 in B_{r^3}(x), v_1, v_2 in B_r(v)
 
 Averages are probability averages over the balls; the matrix difference is
-measured entrywise-max by default (Frobenius behind a flag).
+measured entrywise-max (Frobenius behind an osc_xv flag).
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class CoefficientField:
 @dataclass(frozen=True)
 class LowerOrderTerms:
     """Drift b(z), potential c(z), their declared joint bound L, and the
-    zeroth-order constant lam; |b| + |c| <= L is checked by sampling."""
+    zeroth-order constant lam; |b| + |c| <= L is checked on 2000 samples
+    from the box [-5, 5]^(1+2d)."""
 
     b_fn: Callable
     c_fn: Callable
@@ -128,13 +129,11 @@ class LowerOrderTerms:
         if not (self.L >= 0 and self.lam >= 0):
             raise ValueError("L and lam must be nonnegative")
 
-    def validate(self, d: int, n_samples: int = 2000,
-                 rng: np.random.Generator | None = None,
-                 box: float = 5.0) -> dict:
+    def validate(self, d: int, rng: np.random.Generator | None = None) -> dict:
         rng = rng or np.random.default_rng(0)
-        t = rng.uniform(-box, box, n_samples)
-        x = rng.uniform(-box, box, (n_samples, d))
-        v = rng.uniform(-box, box, (n_samples, d))
+        t = rng.uniform(-5.0, 5.0, 2000)
+        x = rng.uniform(-5.0, 5.0, (2000, d))
+        v = rng.uniform(-5.0, 5.0, (2000, d))
         b = np.asarray(self.b_fn(t, x, v), dtype=float)
         c = np.asarray(self.c_fn(t, x, v), dtype=float)
         total = np.sqrt(np.sum(b * b, axis=-1)) + np.abs(c)
@@ -143,18 +142,15 @@ class LowerOrderTerms:
 
 
 def ellipticity_check(a: CoefficientField, n_samples: int = 2000,
-                      rng: np.random.Generator | None = None,
-                      t_range: tuple = (-2.0, 2.0),
-                      x_range: tuple = (-2.0, 2.0),
-                      v_range: tuple = (-2.0, 2.0)) -> dict:
+                      rng: np.random.Generator | None = None) -> dict:
     """Rayleigh quotients xi . a(z) xi on random unit xi and random z from the
-    given box; passes iff every quotient lies in [delta, 1/delta]."""
+    box [-2, 2]^(1+2d); passes iff every quotient lies in [delta, 1/delta]."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = rng or np.random.default_rng(0)
-    t = rng.uniform(*t_range, n_samples)
-    x = rng.uniform(*x_range, (n_samples, a.d))
-    v = rng.uniform(*v_range, (n_samples, a.d))
+    t = rng.uniform(-2.0, 2.0, n_samples)
+    x = rng.uniform(-2.0, 2.0, (n_samples, a.d))
+    v = rng.uniform(-2.0, 2.0, (n_samples, a.d))
     A = a.eval(t, x, v)
     if np.max(np.abs(A - np.swapaxes(A, -1, -2))) > 1e-10:
         raise ValueError("coefficient matrix is asymmetric at a sampled point")
@@ -219,8 +215,7 @@ def osc_xv(a: CoefficientField, Q: Cylinder, n_pairs: int = 10_000,
 
 
 def osc_prime(a: CoefficientField, r: float, probes, n_pairs: int = 20_000,
-              rng: np.random.Generator | None = None,
-              norm: str = "max") -> tuple[float, float]:
+              rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Sup over the probe points of the four-fold pair average at fixed t,
     with the standard error at the maximizing probe."""
     if not r > 0:
@@ -236,7 +231,7 @@ def osc_prime(a: CoefficientField, r: float, probes, n_pairs: int = 20_000,
         x2 = _ball(rng, z.x, r ** 3, n_pairs)
         v1 = _ball(rng, z.v, r, n_pairs)
         v2 = _ball(rng, z.v, r, n_pairs)
-        diffs = _pair_diff(a, ts, x1, v1, x2, v2, norm)
+        diffs = _pair_diff(a, ts, x1, v1, x2, v2, "max")
         m = float(np.mean(diffs))
         if m > best:
             best = m

@@ -208,29 +208,29 @@ def _periodic_smooth(vals: np.ndarray, axis: int, m: int, step: float, width: fl
     return out
 
 
-def dyadic_tail(f, sigma: float, R: float, x: float,
-                rtol: float = 1e-10, max_shells: int = 60) -> float:
+def dyadic_tail(f, sigma: float, R: float, x: float) -> float:
     """g(x) = integral over |y| > R^3 of f(x+y) |y|^{-(1+sigma)} dy on the
-    line, accumulated over dyadic shells 2^{3k}R^3 < |y| < 2^{3(k+1)}R^3.
-    Raises when the shell sums stop decaying (tail divergence)."""
+    line, accumulated over dyadic shells 2^{3k}R^3 < |y| < 2^{3(k+1)}R^3
+    until a shell adds at most 1e-10 of the sum.  Raises when the shell sums
+    stop decaying (tail divergence) or have not settled after 60 shells."""
     from scipy import integrate
 
     if not (sigma > 0 and R > 0):
         raise ValueError("need sigma > 0 and R > 0")
     acc = 0.0
     prev = math.inf
-    for k in range(max_shells):
+    for k in range(60):
         lo, hi = 2.0 ** (3 * k) * R ** 3, 2.0 ** (3 * (k + 1)) * R ** 3
         pos, _ = integrate.quad(lambda y: f(x + y) * y ** (-1.0 - sigma), lo, hi, limit=200)
         neg, _ = integrate.quad(lambda y: f(x - y) * y ** (-1.0 - sigma), lo, hi, limit=200)
         term = pos + neg
         acc += term
-        if k >= 2 and abs(term) <= rtol * max(abs(acc), 1e-300):
+        if k >= 2 and abs(term) <= 1e-10 * max(abs(acc), 1e-300):
             return acc
         if k >= 5 and abs(term) >= 0.99 * abs(prev):
             raise ValueError("tail integral does not converge: shell terms stopped decaying")
         prev = term
-    raise ValueError(f"tail integral did not settle within {max_shells} dyadic shells")
+    raise ValueError("tail integral did not settle within 60 dyadic shells")
 
 
 def _p_mean(f, radius: float, p: float, n_nodes: int = 65) -> float:
@@ -240,8 +240,7 @@ def _p_mean(f, radius: float, p: float, n_nodes: int = 65) -> float:
     return float(np.mean(vals)) ** (1.0 / p)
 
 
-def dyadic_tail_bound_check(f, sigma: float, R: float, p: float,
-                            max_shells: int = 40) -> dict:
+def dyadic_tail_bound_check(f, sigma: float, R: float, p: float) -> dict:
     """Both sides of the shell estimate
 
         (|g|^p)^{1/p} over B_{R^3}
@@ -252,7 +251,7 @@ def dyadic_tail_bound_check(f, sigma: float, R: float, p: float,
     lhs = _p_mean(lambda xx: dyadic_tail(f, sigma, R, xx), R ** 3, p, n_nodes=17)
     total = 0.0
     prev = math.inf
-    for k in range(max_shells):
+    for k in range(40):
         term = 2.0 ** (-3 * k * sigma) * _p_mean(f, 2.0 ** (3 * k) * R ** 3, p)
         total += term
         if k >= 2 and term <= 1e-8 * total:

@@ -125,9 +125,9 @@ def quasi_distance(z: PhasePoint, z0: PhasePoint, params: QuasiMetricParams = Qu
     )
 
 
-def symmetrized_distance(z: PhasePoint, z0: PhasePoint, params: QuasiMetricParams = QuasiMetricParams()) -> float:
-    """rho_hat_c(z, z0) = rho_c(z, z0) + rho_c(z0, z)."""
-    return quasi_distance(z, z0, params) + quasi_distance(z0, z, params)
+def symmetrized_distance(z: PhasePoint, z0: PhasePoint) -> float:
+    """rho_hat_1(z, z0) = rho_1(z, z0) + rho_1(z0, z), slant sign +1."""
+    return quasi_distance(z, z0) + quasi_distance(z0, z)
 
 
 def quasi_distance_batch(t, x, v, t0, x0, v0, params: QuasiMetricParams = QuasiMetricParams()) -> np.ndarray:

@@ -170,12 +170,12 @@ def mixed_norm(f: GridField, nspec: MixedNormSpec) -> float:
 
 
 @lru_cache(maxsize=32)
-def _fd1_matrix(n: int, t_lo: float, t_hi: float, max_stencil: int = 9) -> np.ndarray:
+def _fd1_matrix(n: int, t_lo: float, t_hi: float) -> np.ndarray:
     """First-derivative matrix, read-only, on the n uniform time nodes of
-    [t_lo, t_hi] from sliding local stencils (centered inside, one-sided at
-    the ends), each solved from the scaled Taylor system."""
+    [t_lo, t_hi] from sliding stencils of min(9, n) nodes (centered inside,
+    one-sided at the ends), each solved from the scaled Taylor system."""
     nodes = np.linspace(t_lo, t_hi, n)
-    m = min(max_stencil, n)
+    m = min(9, n)
     D = np.zeros((n, n))
     for i in range(n):
         s0 = min(max(i - (m - 1) // 2, 0), n - m)

@@ -653,8 +653,7 @@ def _sampled_transform(g: GridField, k, xi):
 
 
 def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
-                 start: float, stop: float, out_spec: GridSpec,
-                 config: SolveConfig | None = None) -> GridField:
+                 start: float, stop: float, out_spec: GridSpec) -> GridField:
     """Zero-data problem on [start, stop]: with the source switched on at or
     after the start time, extending by zero below it solves the history
     integral exactly, so u(start) = 0 holds with no extra error."""
@@ -676,7 +675,7 @@ def cauchy_solve(a: CoefficientField, lot: LowerOrderTerms | None, f,
         if f.spec.t_lo < start - 1e-12:
             raise ValueError("sampled source history leaks below the initial time")
     lam = 0.0 if lot is None else lot.lam
-    return solve_duhamel(a, lam, f, out_spec, config)
+    return solve_duhamel(a, lam, f, out_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -193,20 +193,19 @@ def random_source_corpus(seed: int, n_cases: int, out_spec: GridSpec, *,
 
 
 def random_band_limited_corpus(seed: int, n_cases: int, spec: GridSpec, *,
-                               x_band: int = 3, v_band: int = 3,
-                               t_band: int = 2) -> tuple:
+                               x_band: int = 3) -> tuple:
     """Random real fields with spectrum confined to a low-frequency block
-    and smooth low-order time dependence."""
+    (|velocity index| <= 3) and time dependence of harmonic order <= 2."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if spec.n_x <= 2 * x_band or spec.n_v <= 2 * v_band:
+    if spec.n_x <= 2 * x_band or spec.n_v <= 6:
         raise ValueError("band exceeds the grid Nyquist block")
     xidx = np.arange(-x_band, x_band + 1) % spec.n_x
-    vidx = np.arange(-v_band, v_band + 1) % spec.n_v
+    vidx = np.arange(-3, 4) % spec.n_v
     s = np.linspace(0.0, 1.0, spec.n_t)
     fields = []
     for _ in range(n_cases):
         curve = rng.normal() * np.ones_like(s)
-        for j in range(1, t_band + 1):
+        for j in range(1, 3):
             curve = curve + rng.normal() * np.cos(j * math.pi * s)
             curve = curve + rng.normal() * np.sin(j * math.pi * s)
         block_shape = (len(xidx),) * spec.d + (len(vidx),) * spec.d
@@ -267,8 +266,7 @@ class DeltaSweepResult:
 
 
 def delta_sweep(factories, deltas, lam: float, out_spec: GridSpec,
-                nspec: MixedNormSpec, *,
-                config: SolveConfig | None = None) -> DeltaSweepResult:
+                nspec: MixedNormSpec) -> DeltaSweepResult:
     """Sweep a = delta * I over the given multipliers and fit the worst-case
     ratio growth.
 
@@ -286,8 +284,7 @@ def delta_sweep(factories, deltas, lam: float, out_spec: GridSpec,
                              delta=min(dd, 1.0 - 1e-12),
                              matrix=dd * np.eye(out_spec.d))
         part = solve_corpus([(case_id, make(dd)) for case_id, make in factories],
-                            a, lam, out_spec, nspec, config=config,
-                            delta_label=dd)
+                            a, lam, out_spec, nspec, delta_label=dd)
         rows.extend(part.rows)
         worst.append(max((row["ratio"] for row in part.rows), default=0.0))
     if len(deltas) >= 2:
@@ -305,19 +302,18 @@ def delta_sweep(factories, deltas, lam: float, out_spec: GridSpec,
     return DeltaSweepResult(deltas, tuple(worst), slope, -slope, resid, report)
 
 
-def designed_mode_factory(omega: float = 1.0, warm: float = 30.0,
-                          stop: float = 100.0):
-    """Worst-case single-mode source for the delta sweep: an always-on
-    velocity cosine, constant in position.
+def designed_mode_factory():
+    """Worst-case single-mode source for the delta sweep: cos(v), on from
+    -30/delta to 100 and constant in position.
 
-    The warm-up start stretches like warm/delta so the output window only
-    sees the steady state u = cos(omega v) / (delta omega^2 + lam); at
-    lam = 0 the sweep ratio is then 1/delta exactly.  omega must sit on the
-    velocity frequency lattice of the output grid.
+    The warm-up start stretches like 1/delta so the output window only
+    sees the steady state u = cos(v) / (delta + lam); at lam = 0 the sweep
+    ratio is then 1/delta exactly.  Frequency 1 must sit on the velocity
+    frequency lattice of the output grid.
     """
     def make(delta: float) -> AnalyticSource:
-        profile = TimeProfile(kind="boxcar", start=-warm / delta, stop=stop)
-        factor = SpaceFactor(kind="v_mode", mode_freq=(omega,), mode_phase=0.0)
+        profile = TimeProfile(kind="boxcar", start=-30.0 / delta, stop=100.0)
+        factor = SpaceFactor(kind="v_mode", mode_freq=(1.0,), mode_phase=0.0)
         return AnalyticSource((SourceTerm(profile, factor),))
 
     return make

@@ -26,8 +26,8 @@ import yaml
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend, validator_for
 
-from .coefficients import CoefficientField
-from .geometry import PhasePoint, QuasiMetricParams, quasi_distance_batch
+from .coefficients import CoefficientField, osc_prime, osc_xv
+from .geometry import Cylinder, PhasePoint, QuasiMetricParams, quasi_distance_batch
 from .grids import GridSpec
 from .maximal import CylinderFamily, fs_check, hl_check, make_corpus
 from .norms import MixedNormSpec, check_transport_grid
@@ -53,10 +53,9 @@ class CheckFailure(Exception):
         self.invariant = invariant
 
 
-_SEED_MAX = 2 ** 64
-
+# keys of every command; the flags of the same name override them
 _COMMON = {
-    "seed": {"type": "integer", "minimum": 0, "exclusiveMaximum": _SEED_MAX},
+    "seed": {"type": "integer", "minimum": 0, "exclusiveMaximum": 2 ** 64},
     "out": {"type": "string"},
     "workers": {"type": "integer", "minimum": 1},
 }
@@ -294,7 +293,9 @@ _Validator = extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
 _FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _load_config(command: str, path: str) -> dict:
+def _load_config(command: str, path: str, flags: dict) -> dict:
+    """The config file's mapping with the set command-line flags merged in,
+    checked against the command's schema."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -312,6 +313,7 @@ def _load_config(command: str, path: str) -> dict:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    cfg.update(flags)
     # jsonschema.validate's error choice, minus its per-call metaschema check
     error = best_match(_Validator(SCHEMAS[command]).iter_errors(cfg))
     if error is not None:
@@ -320,14 +322,19 @@ def _load_config(command: str, path: str) -> dict:
     return cfg
 
 
-def _build(cls, section: str, values: dict):
-    """cls(**values) with lists passed as tuples; a value that cls rejects
-    is a config error of the section."""
+def _checked(section: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a value that fn rejects is a config error of
+    the section."""
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in values.items()})
+        return fn(*args, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _build(cls, section: str, values: dict):
+    """cls(**values) with lists passed as tuples, checked as the section."""
+    return _checked(section, cls, **{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in values.items()})
 
 
 def _build_coefficients(cfg: dict, d: int) -> CoefficientField:
@@ -363,33 +370,30 @@ def _build_norm(cfg: dict, d: int) -> MixedNormSpec:
     if len(r) != d:
         raise ConfigError(f"norm lists {len(r)} velocity exponents for "
                           f"dimension {d}")
-    weight = None
-    if "weight" in cfg:
-        wcfg = cfg["weight"]
-        if len(wcfg["v"]) != d:
-            raise ConfigError("weight lists the wrong number of velocity "
-                              "factors")
-        weight = _build(ProductWeight, "norm", {
-            "w0": _build(Weight1D, "norm", {**wcfg["t"], "p": cfg["q"]}),
-            "wi": tuple(_build(Weight1D, "norm", {**wc, "p": ri})
-                        for wc, ri in zip(wcfg["v"], r)),
-            "K": wcfg.get("K", math.inf)})
-    return _build(MixedNormSpec, "norm", {"p": cfg["p"], "r": r, "q": cfg["q"],
-                                          "weight": weight,
+    # the exponents are checked, naming their keys, before the weights take them
+    spec = _build(MixedNormSpec, "norm", {"p": cfg["p"], "r": r, "q": cfg["q"],
                                           "T": cfg.get("T", math.inf)})
+    if "weight" not in cfg:
+        return spec
+    wcfg = cfg["weight"]
+    if len(wcfg["v"]) != d:
+        raise ConfigError("weight lists the wrong number of velocity factors")
+    weight = _build(ProductWeight, "norm", {
+        "w0": _build(Weight1D, "norm", {**wcfg["t"], "p": cfg["q"]}),
+        "wi": tuple(_build(Weight1D, "norm", {**wc, "p": ri})
+                    for wc, ri in zip(wcfg["v"], r)),
+        "K": wcfg.get("K", math.inf)})
+    return _checked("norm", dataclasses.replace, spec, weight=weight)
 
 
-def _build_sections(command: str, cfg: dict) -> dict:
+def _build_sections(command: str, cfg: dict, seed: int) -> dict:
     """The library objects of the config's sections, each checked as it is
     built, so a dry run rejects what a run would reject."""
     built = {}
     if "grid" in cfg:
         built["grid"] = _build(GridSpec, "grid", cfg["grid"])
         if command == "verify-estimate":
-            try:
-                check_transport_grid(built["grid"])
-            except ValueError as exc:
-                raise ConfigError(f"grid: {exc}") from exc
+            _checked("grid", check_transport_grid, built["grid"])
     if "center" in cfg:
         built["center"] = _build(PhasePoint, "center", cfg["center"])
     if "coefficients" in cfg:
@@ -397,6 +401,7 @@ def _build_sections(command: str, cfg: dict) -> dict:
         built["coefficients"] = _build_coefficients(cfg["coefficients"], d)
     if "source" in cfg:
         built["source"] = _build_source(cfg["source"])
+        _checked("source", built["source"].check_modes, built["grid"])
     if "norm" in cfg:
         built["norm"] = _build_norm(cfg["norm"], built["grid"].d)
     if "solver" in SCHEMAS[command]["properties"]:
@@ -420,11 +425,22 @@ def _build_sections(command: str, cfg: dict) -> dict:
                               f"the quasi-distance terms")
         built["window"] = window
     if command == "maximal-bench":
-        try:
-            built["family"] = CylinderFamily.for_grid(
-                built["grid"], c=cfg.get("c", 1.0), T=built["norm"].T)
-        except ValueError as exc:
-            raise ConfigError(f"maximal-bench: {exc}") from exc
+        built["family"] = _checked("maximal-bench", CylinderFamily.for_grid,
+                                   built["grid"], c=cfg.get("c", 1.0),
+                                   T=built["norm"].T)
+    if command == "verify-estimate":
+        corpus = dict(cfg["corpus"])
+        n_cases = corpus.pop("n_cases")
+        built["corpus"] = _checked("corpus", random_source_corpus, seed,
+                                   n_cases, built["grid"], **corpus)
+    if command == "weights-ap":
+        built["weights"] = [_build(Weight1D, "weights-ap",
+                                   {"kind": "power", "p": cfg["p"], "alpha": alpha})
+                            for alpha in cfg["alphas"]]
+    if command == "vmo":
+        built["cylinders"] = [_build(Cylinder, "radii",
+                                     {"center": built["center"], "r": r, "R": r})
+                              for r in cfg["radii"]]
     return built
 
 
@@ -463,19 +479,13 @@ def _cmd_solve(cfg: dict, built: dict, out_dir: Path, seed: int,
 def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
                          workers: int) -> None:
     spec, a, nspec = built["grid"], built["coefficients"], built["norm"]
-    ccfg = dict(cfg["corpus"])
-    n_cases = ccfg.pop("n_cases")
-    try:
-        corpus = random_source_corpus(seed, n_cases, spec, **ccfg)
-    except ValueError as exc:
-        raise ConfigError(f"corpus: {exc}") from exc
 
     def one(case):
         return solve_corpus([case], a, cfg["lam"], spec, nspec,
                             config=built["solver"])
 
     try:
-        parts = _parallel_map(one, list(corpus), workers)
+        parts = _parallel_map(one, list(built["corpus"]), workers)
     except ValueError as exc:
         raise ConfigError(f"verify-estimate: {exc}") from exc
     rows = [row for part in parts for row in part.rows]
@@ -532,10 +542,9 @@ def _cmd_weights_ap(cfg: dict, built: dict, out_dir: Path, seed: int,
                     workers: int) -> None:
     p = cfg["p"]
     rows = []
-    for alpha in cfg["alphas"]:
-        w = Weight1D(kind="power", p=p, alpha=alpha)
+    for w in built["weights"]:
         constant = ap_constant_1d(w, p)
-        rows.append({"alpha": alpha, "p": p, "constant": constant,
+        rows.append({"alpha": w.alpha, "p": p, "constant": constant,
                      "finite": math.isfinite(constant)})
     path = out_dir / cfg.get("csv", "weights_ap.csv")
     _write_rows(path, ("alpha", "p", "constant", "finite"), rows)
@@ -580,16 +589,14 @@ def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path, seed: int,
 
 def _cmd_vmo(cfg: dict, built: dict, out_dir: Path, seed: int,
              workers: int) -> None:
-    from .coefficients import osc_prime, osc_xv
-    from .geometry import Cylinder
     a, center = built["coefficients"], built["center"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_pairs = cfg.get("n_pairs", 4000)
     n_slices = cfg.get("n_slices", 16)
     n_probes = cfg.get("n_probes", 8)
     rows = []
-    for r in cfg["radii"]:
-        Q = Cylinder(center=center, r=r, R=r, side="past")
+    for Q in built["cylinders"]:
+        r = Q.r
         osc, osc_err = osc_xv(a, Q, n_pairs=n_pairs, n_slices=n_slices,
                               rng=rng)
         probes = [PhasePoint(t=center.t - rng.uniform(0.0, r ** 2),
@@ -628,10 +635,10 @@ def _cmd_report(cfg: dict, built: dict, out_dir: Path, seed: int,
         try:
             with open(path, newline="") as fh:
                 data = list(csv.DictReader(fh))
-        except OSError as exc:
+            ratios = [float(row["ratio"]) for row in data
+                      if "ratio" in row and row["ratio"] not in ("", None)]
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        ratios = [float(row["ratio"]) for row in data
-                  if "ratio" in row and row["ratio"] not in ("", None)]
         rows.append({"file": path.name, "rows": len(data),
                      "max_ratio": max(ratios) if ratios else ""})
     path = out_dir / cfg.get("summary", "summary.csv")
@@ -670,18 +677,15 @@ def main(argv=None) -> int:
                         help="validate the config and print the plan only")
     args = parser.parse_args(argv)
 
+    flags = {key: getattr(args, key) for key in _COMMON
+             if getattr(args, key) is not None}
     try:
-        cfg = _load_config(args.command, args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if not 0 <= seed < _SEED_MAX:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        workers = (args.workers if args.workers is not None
-                   else cfg.get("workers", os.cpu_count() or 1))
-        if workers < 1:
-            raise ConfigError("workers must be at least one")
-        out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
+        cfg = _load_config(args.command, args.config, flags)
+        seed = cfg.get("seed", 0)
+        workers = cfg.get("workers", os.cpu_count() or 1)
+        out_dir = Path(cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        built = _build_sections(args.command, cfg)
+        built = _build_sections(args.command, cfg, seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

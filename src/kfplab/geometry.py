@@ -98,6 +98,11 @@ class Cylinder:
     def __post_init__(self):
         if not (self.r > 0 and self.R > 0):
             raise ValueError("cylinder radii must be positive")
+        # r * r, unlike r ** 2, reads inf instead of raising OverflowError
+        if not math.isfinite(self.r * self.r):
+            raise ValueError(f"cylinder radius r={self.r!r} overflows r^2")
+        if not math.isfinite(self.R * self.R * self.R):
+            raise ValueError(f"cylinder radius R={self.R!r} overflows R^3")
         if self.side not in ("past", "two_sided"):
             raise ValueError(f"unknown cylinder side {self.side!r}")
 

@@ -213,6 +213,19 @@ class AnalyticSource:
     def __add__(self, other: "AnalyticSource") -> "AnalyticSource":
         return AnalyticSource(self.terms + other.terms)
 
+    def check_modes(self, spec: GridSpec) -> None:
+        """Every v_mode frequency must sit on the grid's velocity lattice, at
+        most at its Nyquist mode."""
+        for term in self.terms:
+            if term.factor.kind != "v_mode":
+                continue
+            ms = np.asarray(term.factor.mode_freq, dtype=float) / (np.pi / spec.L_v)
+            if np.any(np.abs(ms - np.round(ms)) > 1e-9):
+                raise ValueError("v_mode frequency must sit on the velocity "
+                                 "frequency lattice of the output grid")
+            if np.any(np.abs(np.round(ms)) > spec.n_v // 2):
+                raise ValueError("v_mode frequency beyond the grid Nyquist")
+
     def sample(self, spec: GridSpec) -> GridField:
         """Pointwise values on the grid nodes."""
         if spec.d != self.d:
@@ -563,13 +576,12 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     elif isinstance(f, AnalyticSource):
         if f.d != out_spec.d:
             raise ValueError("source/grid dimension mismatch")
+        f.check_modes(out_spec)
         terms = f.terms
         half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
     else:
         raise TypeError("source must be an AnalyticSource or a GridField")
     modes = [term for term in terms if term.factor.kind == "v_mode"]
-    for term in modes:
-        _check_mode(term.factor, out_spec)
 
     def term_history(prof, ks, xis, shifted):
         jumps = prof.support() if prof.kind == "boxcar" else ()
@@ -592,17 +604,6 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
                          lambda taus: 1.0)
         u += fac.amplitude * h.real * _spatial_values(fac, out_spec)
     return GridField(out_spec, u)
-
-
-def _check_mode(fac: SpaceFactor, spec: GridSpec) -> None:
-    """A v_mode frequency must sit on the grid's velocity lattice, at most
-    at its Nyquist mode."""
-    ms = np.asarray(fac.mode_freq, dtype=float) / (np.pi / spec.L_v)
-    if np.any(np.abs(ms - np.round(ms)) > 1e-9):
-        raise ValueError("v_mode frequency must sit on the velocity "
-                         "frequency lattice of the output grid")
-    if np.any(np.abs(np.round(ms)) > spec.n_v // 2):
-        raise ValueError("v_mode frequency beyond the grid Nyquist")
 
 
 def _check_sampled(g: GridField, spec: GridSpec) -> None:

@@ -79,8 +79,10 @@ class Weight1D:
     def __post_init__(self):
         if self.kind not in ("constant", "power", "step", "tabulated"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not self.p > 1:
-            raise ValueError("class exponent p must exceed 1")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"class exponent p must be finite and exceed 1, got {self.p!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"weight exponent alpha must be finite, got {self.alpha!r}")
         if self.kind == "constant" and not self.level > 0:
             raise ValueError("constant weight level must be positive")
         if self.kind == "step":
@@ -226,8 +228,8 @@ def ap_constant_1d(w: Weight1D, p: float, family: IntervalFamily | None = None) 
     alpha lies in (-1, p-1); outside that range the weight or its dual power
     is not locally integrable and +inf is returned directly.
     """
-    if not p > 1:
-        raise ValueError("A_p requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"A_p requires a finite p > 1, got {p!r}")
     if w.kind == "power" and not (-1.0 < w.alpha < p - 1.0):
         return math.inf
     fam = family or IntervalFamily()

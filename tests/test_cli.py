@@ -496,6 +496,23 @@ class TestWeightsCommand:
             assert rows[alpha]["finite"] == "True"
             assert float(rows[alpha]["constant"]) >= 1.0 - 1e-9
 
+    # p = inf printed a meaningless constant and alpha = nan an infinite one,
+    # both with exit 0
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("p,alpha,key", [(".inf", "0.5", "p"),
+                                             ("2.0", ".nan", "alpha")],
+                             ids=["p_inf", "alpha_nan"])
+    def test_non_finite_exponent_is_config_error(self, tmp_path, capsys, p,
+                                                 alpha, key, dry_run):
+        cfg = tmp_path / "w.yaml"
+        cfg.write_text(f"p: {p}\nalphas: [{alpha}]\n")
+        assert main(["weights-ap", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: weights-ap: ")
+        assert re.search(rf"\b{key}\b", err)
+        assert not (tmp_path / "weights_ap.csv").exists()
+
 
 class TestMaximalCommand:
     def test_bench_writes_finite_ratios_with_timing(self, tmp_path, capsys):
@@ -541,7 +558,10 @@ class TestMaximalCommand:
         ("{p: .inf, r: [2.0], q: 2.0}", "p"),
         ("{p: 2.0, r: [.inf], q: .inf}", "r"),
         ("{p: 2.0, r: [2.0], q: 2.0, T: .nan}", "T"),
-    ], ids=["p_inf", "r_q_inf", "T_nan"])
+        # a weight takes q as its class exponent, so q is checked first
+        ("{p: 2.0, r: [2.0], q: .inf, weight: {t: {kind: power, alpha: 0.5},"
+         " v: [{kind: power, alpha: 0.5}]}}", "q"),
+    ], ids=["p_inf", "r_q_inf", "T_nan", "weighted_q_inf"])
     def test_non_finite_norm_is_config_error(self, tmp_path, capsys, norm, key,
                                              dry_run):
         cfg = tmp_path / "m.yaml"
@@ -593,6 +613,23 @@ class TestVmoCommand:
         for row in rows:
             assert float(row["osc_xv"]) <= 1e-12
 
+    # r ** 2 overflowed in osc_xv and an infinite r broke numpy's draw,
+    # both with exit 1, while a dry run passed
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("radius", [".inf", "1.0e+200"])
+    def test_overflowing_radius_is_config_error(self, tmp_path, capsys, radius,
+                                                dry_run):
+        cfg = tmp_path / "vmo.yaml"
+        cfg.write_text(
+            "coefficients: {kind: constant_spd, delta: 0.4, value: 1.0}\n"
+            f"radii: [0.5, {radius}]\n"
+            "center: {t: 0.0, x: [0.0], v: [0.0]}\n"
+            "n_pairs: 100\n")
+        assert main(["vmo", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: radii: ")
+        assert not (tmp_path / "vmo.csv").exists()
+
 
 class TestReportCommand:
     def test_merges_csv_artifacts(self, tmp_path, capsys):
@@ -626,6 +663,16 @@ class TestReportCommand:
         assert main(["report", "--config", rcfg, "--out",
                      str(tmp_path)]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err
+
+    def test_unreadable_ratio_is_config_error(self, tmp_path, capsys):
+        # float("abc") used to end in a ValueError traceback, exit 1
+        (tmp_path / "a.csv").write_text("ratio\nabc\n")
+        rcfg = _write(tmp_path, "r.yaml", {"inputs": ["a.csv"]})
+        assert main(["report", "--config", rcfg, "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ") and "a.csv" in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_empty_directory_is_config_error(self, tmp_path, capsys):
         rcfg = _write(tmp_path, "r.yaml", {})
@@ -756,6 +803,32 @@ def test_false_weight_bound_is_config_error(tmp_path, capsys, command):
     cfg = _write(tmp_path, "cfg.yaml", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "config error: norm:" in capsys.readouterr().err
+
+
+# a dry run passed these four while a run exited 2
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+@pytest.mark.parametrize("command,change,message", [
+    ("verify-estimate", {"sigma_lo": 0.2, "sigma_hi": 0.1},
+     "corpus: sigma_hi must not fall below sigma_lo"),
+    ("verify-estimate", {"width_lo": 0.2, "width_hi": 0.1},
+     "corpus: width_hi must not fall below width_lo"),
+    ("solve", [0.7], "source: v_mode frequency must sit on the velocity "
+                     "frequency lattice"),
+    ("solve", [17.0], "source: v_mode frequency beyond the grid Nyquist"),
+], ids=["sigma", "width", "off_lattice", "beyond_nyquist"])
+def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, command, change,
+                                            message, dry_run):
+    if command == "solve":
+        payload = _steady_solve_config()
+        payload["source"]["terms"][0]["factor"]["mode_freq"] = change
+    else:
+        payload = _estimate_config()
+        payload["corpus"].update(change)
+    cfg = _write(tmp_path, "cfg.yaml", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
 
 
 class TestFlagValidation:

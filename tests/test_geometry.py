@@ -230,6 +230,16 @@ def test_doubling_ratio_bounded():
 
 
 class TestCylinders:
+    # r ** 2 used to end in OverflowError inside osc_xv
+    @pytest.mark.parametrize("r,R,match", [
+        (math.inf, 1.0, r"r=inf overflows r\^2"),
+        (1e200, 1.0, r"r=1e\+200 overflows r\^2"),
+        (1.0, 1e120, r"R=1e\+120 overflows R\^3"),
+    ], ids=["r_inf", "r_1e200", "R_1e120"])
+    def test_radius_whose_power_overflows_is_refused(self, r, R, match):
+        with pytest.raises(ValueError, match=match):
+            Cylinder(zp(0, 0, 0), r, R)
+
     def test_center_membership_by_side(self):
         z0 = zp(0, 0, 0)
         assert not cylinder_contains(Cylinder(z0, 1.0, 1.0, side="past"), z0)

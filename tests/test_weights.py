@@ -180,6 +180,16 @@ class TestApConstant:
     def test_p_must_exceed_one(self):
         with pytest.raises(ValueError):
             ap_constant_1d(power(0.5), 1.0, SMALL_FAMILY)
+        # p = inf made the dual power -0, so the scan returned avg w
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"A_p requires a finite p > 1"):
+                ap_constant_1d(power(0.5), p, SMALL_FAMILY)
+            with pytest.raises(ValueError, match=r"class exponent p must be finite"):
+                power(0.5, p=p)
+        # alpha = nan sat outside the class window and gave an infinite constant
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"exponent alpha must be finite"):
+                power(alpha)
 
 
 def _round_loop_kinetic(alpha, p, r, z0, c, T, n_samples, rng):

@@ -67,17 +67,27 @@ _TYPES = {"int": {"type": "integer"}, "float": {"type": "number"},
           "tuple": _NUMS}
 
 
+def _strict(properties: dict, required=None, **more) -> dict:
+    """A mapping section that takes exactly these properties, the listed ones
+    required; more adds keywords after the rest, in their order."""
+    schema = {"type": "object", "properties": properties}
+    if required is not None:
+        schema["required"] = required
+    return {**schema, "additionalProperties": False, **more}
+
+
+def _command(properties: dict, required=None) -> dict:
+    """A command's config: the _COMMON keys, then the command's own."""
+    return _strict({**_COMMON, **properties}, required)
+
+
 def _fields_schema(cls) -> dict:
     """The section that cls(**section) takes: exactly its fields, typed by
     annotation, those without a default required.  cls checks the values."""
     fields = dataclasses.fields(cls)
-    return {
-        "type": "object",
-        "properties": {f.name: _TYPES[f.type] for f in fields},
-        "required": [f.name for f in fields
-                     if f.default is dataclasses.MISSING],
-        "additionalProperties": False,
-    }
+    return _strict({f.name: _TYPES[f.type] for f in fields},
+                   [f.name for f in fields
+                    if f.default is dataclasses.MISSING])
 
 
 _GRID = _fields_schema(GridSpec)
@@ -85,20 +95,16 @@ _PROFILE = _fields_schema(TimeProfile)
 _FACTOR = _fields_schema(SpaceFactor)
 _SOLVER = _fields_schema(SolveConfig)
 
-_COEFF = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant_spd", "time_piecewise"]},
-        "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "value": {"type": "number"},
-        "matrix": {"type": "array", "items": _NUMS, "minItems": 1},
-        "breakpoints": {"type": "array", "items": {"type": "number"}},
-        "values": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["kind", "delta"],
-    "additionalProperties": False,
+_COEFF = _strict({
+    "kind": {"enum": ["constant_spd", "time_piecewise"]},
+    "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "value": {"type": "number"},
+    "matrix": {"type": "array", "items": _NUMS, "minItems": 1},
+    "breakpoints": {"type": "array", "items": {"type": "number"}},
+    "values": {"type": "array", "items": {"type": "number"}},
+}, ["kind", "delta"],
     # each kind takes its own keys: value xor matrix; breakpoints and values
-    "allOf": [
+    allOf=[
         {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
          "then": {"propertyNames": {"enum": ["kind", "delta", *keys]}, **rule}}
         for kind, keys, rule in [
@@ -106,181 +112,101 @@ _COEFF = {
              {"if": {"required": ["matrix"]}, "else": {"required": ["value"]},
               "then": {"propertyNames": {"enum": ["kind", "delta", "matrix"]}}}),
             ("time_piecewise", ["breakpoints", "values"],
-             {"required": ["breakpoints", "values"]})]],
-}
+             {"required": ["breakpoints", "values"]})]])
 
-_SOURCE = {
-    "type": "object",
-    "properties": {
-        "terms": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {"profile": _PROFILE, "factor": _FACTOR},
-                "required": ["profile", "factor"],
-                "additionalProperties": False,
-            },
-        },
+_SOURCE = _strict({
+    "terms": {
+        "type": "array",
+        "minItems": 1,
+        "items": _strict({"profile": _PROFILE, "factor": _FACTOR},
+                         ["profile", "factor"]),
     },
-    "required": ["terms"],
-    "additionalProperties": False,
-}
+}, ["terms"])
 
-_WEIGHT1D = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant", "power", "step"]},
-        "level": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number"},
-        "center": {"type": "number"},
-        "breaks": {"type": "array", "items": {"type": "number"}},
-        "levels": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+_WEIGHT1D = _strict({
+    "kind": {"enum": ["constant", "power", "step"]},
+    "level": {"type": "number", "exclusiveMinimum": 0},
+    "alpha": {"type": "number"},
+    "center": {"type": "number"},
+    "breaks": {"type": "array", "items": {"type": "number"}},
+    "levels": {"type": "array", "items": {"type": "number"}},
+}, ["kind"])
 
-_NORM = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "number", "exclusiveMinimum": 1},
-        "r": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1},
-              "minItems": 1},
-        "q": {"type": "number", "exclusiveMinimum": 1},
-        "T": {"type": "number"},
-        "weight": {
-            "type": "object",
-            "properties": {
-                "t": _WEIGHT1D,
-                "v": {"type": "array", "items": _WEIGHT1D, "minItems": 1},
-                "K": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["t", "v"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["p", "r", "q"],
-    "additionalProperties": False,
-}
+_NORM = _strict({
+    "p": {"type": "number", "exclusiveMinimum": 1},
+    "r": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1},
+          "minItems": 1},
+    "q": {"type": "number", "exclusiveMinimum": 1},
+    "T": {"type": "number"},
+    "weight": _strict({
+        "t": _WEIGHT1D,
+        "v": {"type": "array", "items": _WEIGHT1D, "minItems": 1},
+        "K": {"type": "number", "exclusiveMinimum": 0},
+    }, ["t", "v"]),
+}, ["p", "r", "q"])
 
 SCHEMAS = {
-    "solve": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "grid": _GRID, "coefficients": _COEFF,
-            "lam": {"type": "number", "minimum": 0},
-            "source": _SOURCE, "solver": _SOLVER,
-            "dump": {"type": "string"},
-        },
-        "required": ["grid", "coefficients", "lam", "source"],
-        "additionalProperties": False,
-    },
-    "verify-estimate": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "grid": _GRID, "coefficients": _COEFF,
-            "lam": {"type": "number", "minimum": 0},
-            "norm": _NORM, "solver": _SOLVER,
-            "corpus": {
-                "type": "object",
-                "properties": {
-                    "n_cases": {"type": "integer", "minimum": 1},
-                    "margin": {"type": "number", "exclusiveMinimum": 0},
-                    "sigma_lo": {"type": "number", "exclusiveMinimum": 0},
-                    "sigma_hi": {"type": "number", "exclusiveMinimum": 0},
-                    "freq_max": {"type": "number", "minimum": 0},
-                    "width_lo": {"type": "number", "exclusiveMinimum": 0},
-                    "width_hi": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["n_cases"],
-                "additionalProperties": False,
-            },
-            "cap": {"type": "number", "exclusiveMinimum": 0},
-            "csv": {"type": "string"},
-        },
-        "required": ["grid", "coefficients", "lam", "norm", "corpus"],
-        "additionalProperties": False,
-    },
-    "geometry-test": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "n_triples": {"type": "integer", "minimum": 1},
-            "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                     "minItems": 1},
-            "c_lo": {"type": "number", "minimum": 1},
-            "c_hi": {"type": "number", "minimum": 1},
-            "box": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["n_triples"],
-        "additionalProperties": False,
-    },
-    "weights-ap": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "p": {"type": "number", "exclusiveMinimum": 1},
-            "alphas": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
-            "csv": {"type": "string"},
-        },
-        "required": ["p", "alphas"],
-        "additionalProperties": False,
-    },
-    "maximal-bench": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "grid": _GRID, "norm": _NORM,
-            "c": {"type": "number", "minimum": 1},
-            "corpus": {
-                "type": "object",
-                "properties": {
-                    "n_fields": {"type": "integer", "minimum": 1},
-                    "kind": {"enum": ["band_limited", "bump"]},
-                },
-                "required": ["n_fields"],
-                "additionalProperties": False,
-            },
-            "csv": {"type": "string"},
-        },
-        "required": ["grid", "norm", "corpus"],
-        "additionalProperties": False,
-    },
-    "vmo": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "coefficients": _COEFF,
-            "radii": {"type": "array", "minItems": 1,
-                      "items": {"type": "number", "exclusiveMinimum": 0}},
-            "center": {
-                "type": "object",
-                "properties": {"t": {"type": "number"}, "x": _NUMS, "v": _NUMS},
-                "required": ["t", "x", "v"],
-                "additionalProperties": False,
-            },
-            "n_pairs": {"type": "integer", "minimum": 100},
-            "n_slices": {"type": "integer", "minimum": 2},
-            "n_probes": {"type": "integer", "minimum": 1},
-            "expect_time_only": {"type": "boolean"},
-            "csv": {"type": "string"},
-        },
-        "required": ["coefficients", "radii", "center"],
-        "additionalProperties": False,
-    },
-    "report": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "inputs": {"type": "array", "items": {"type": "string"}},
-            "summary": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
+    "solve": _command({
+        "grid": _GRID, "coefficients": _COEFF,
+        "lam": {"type": "number", "minimum": 0},
+        "source": _SOURCE, "solver": _SOLVER,
+        "dump": {"type": "string"},
+    }, ["grid", "coefficients", "lam", "source"]),
+    "verify-estimate": _command({
+        "grid": _GRID, "coefficients": _COEFF,
+        "lam": {"type": "number", "minimum": 0},
+        "norm": _NORM, "solver": _SOLVER,
+        "corpus": _strict({
+            "n_cases": {"type": "integer", "minimum": 1},
+            "margin": {"type": "number", "exclusiveMinimum": 0},
+            "sigma_lo": {"type": "number", "exclusiveMinimum": 0},
+            "sigma_hi": {"type": "number", "exclusiveMinimum": 0},
+            "freq_max": {"type": "number", "minimum": 0},
+            "width_lo": {"type": "number", "exclusiveMinimum": 0},
+            "width_hi": {"type": "number", "exclusiveMinimum": 0},
+        }, ["n_cases"]),
+        "cap": {"type": "number", "exclusiveMinimum": 0},
+        "csv": {"type": "string"},
+    }, ["grid", "coefficients", "lam", "norm", "corpus"]),
+    "geometry-test": _command({
+        "n_triples": {"type": "integer", "minimum": 1},
+        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                 "minItems": 1},
+        "c_lo": {"type": "number", "minimum": 1},
+        "c_hi": {"type": "number", "minimum": 1},
+        "box": {"type": "number", "exclusiveMinimum": 0},
+    }, ["n_triples"]),
+    "weights-ap": _command({
+        "p": {"type": "number", "exclusiveMinimum": 1},
+        "alphas": {"type": "array", "items": {"type": "number"},
+                   "minItems": 1},
+        "csv": {"type": "string"},
+    }, ["p", "alphas"]),
+    "maximal-bench": _command({
+        "grid": _GRID, "norm": _NORM,
+        "c": {"type": "number", "minimum": 1},
+        "corpus": _strict({
+            "n_fields": {"type": "integer", "minimum": 1},
+            "kind": {"enum": ["band_limited", "bump"]},
+        }, ["n_fields"]),
+        "csv": {"type": "string"},
+    }, ["grid", "norm", "corpus"]),
+    "vmo": _command({
+        "coefficients": _COEFF,
+        "radii": {"type": "array", "minItems": 1,
+                  "items": {"type": "number", "exclusiveMinimum": 0}},
+        "center": _strict({"t": {"type": "number"}, "x": _NUMS, "v": _NUMS},
+                          ["t", "x", "v"]),
+        "n_pairs": {"type": "integer", "minimum": 100},
+        "n_slices": {"type": "integer", "minimum": 2},
+        "n_probes": {"type": "integer", "minimum": 1},
+        "expect_time_only": {"type": "boolean"},
+        "csv": {"type": "string"},
+    }, ["coefficients", "radii", "center"]),
+    "report": _command({
+        "inputs": {"type": "array", "items": {"type": "string"}},
+        "summary": {"type": "string"},
+    }),
 }
 
 
@@ -386,7 +312,7 @@ def _build_norm(cfg: dict, d: int) -> MixedNormSpec:
     return _checked("norm", dataclasses.replace, spec, weight=weight)
 
 
-def _build_sections(command: str, cfg: dict, seed: int) -> dict:
+def _build_sections(command: str, cfg: dict) -> dict:
     """The library objects of the config's sections, each checked as it is
     built, so a dry run rejects what a run would reject."""
     built = {}
@@ -431,7 +357,7 @@ def _build_sections(command: str, cfg: dict, seed: int) -> dict:
     if command == "verify-estimate":
         corpus = dict(cfg["corpus"])
         n_cases = corpus.pop("n_cases")
-        built["corpus"] = _checked("corpus", random_source_corpus, seed,
+        built["corpus"] = _checked("corpus", random_source_corpus, cfg["seed"],
                                    n_cases, built["grid"], **corpus)
     if command == "weights-ap":
         built["weights"] = [_build(Weight1D, "weights-ap",
@@ -461,8 +387,7 @@ def _write_rows(path: Path, header: tuple, rows: list) -> None:
             writer.writerow({k: row[k] for k in header})
 
 
-def _cmd_solve(cfg: dict, built: dict, out_dir: Path, seed: int,
-               workers: int) -> None:
+def _cmd_solve(cfg: dict, built: dict, out_dir: Path) -> None:
     spec = built["grid"]
     try:
         u = solve_duhamel(built["coefficients"], cfg["lam"], built["source"],
@@ -476,8 +401,7 @@ def _cmd_solve(cfg: dict, built: dict, out_dir: Path, seed: int,
     print(f"center_slice_max={np.max(np.abs(center)):.15e}")
 
 
-def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
-                         workers: int) -> None:
+def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path) -> None:
     spec, a, nspec = built["grid"], built["coefficients"], built["norm"]
 
     def one(case):
@@ -485,14 +409,14 @@ def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
                             config=built["solver"])
 
     try:
-        parts = _parallel_map(one, list(built["corpus"]), workers)
+        parts = _parallel_map(one, list(built["corpus"]), cfg["workers"])
     except ValueError as exc:
         raise ConfigError(f"verify-estimate: {exc}") from exc
     rows = [row for part in parts for row in part.rows]
     if not rows:
         raise CheckFailure("estimate_nonempty",
                            "every corpus case had a zero right side")
-    report = EstimateReport(tuple(rows), metadata={"seed": seed})
+    report = EstimateReport(tuple(rows), metadata={"seed": cfg["seed"]})
     path = out_dir / cfg.get("csv", "estimate.csv")
     report.to_csv(path)
     print(f"csv={path}")
@@ -504,11 +428,10 @@ def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path, seed: int,
                            f"{cfg['cap']}")
 
 
-def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
-                       workers: int) -> None:
+def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path) -> None:
     n = cfg["n_triples"]
     c_lo, c_hi, box = built["window"].values()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     for d in built["dims"]:
         bad_sym = 0
         bad_tri = 0
@@ -538,8 +461,7 @@ def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path, seed: int,
             raise CheckFailure("quasi_triangle", f"d={d}: {bad_tri} violations")
 
 
-def _cmd_weights_ap(cfg: dict, built: dict, out_dir: Path, seed: int,
-                    workers: int) -> None:
+def _cmd_weights_ap(cfg: dict, built: dict, out_dir: Path) -> None:
     p = cfg["p"]
     rows = []
     for w in built["weights"]:
@@ -560,13 +482,12 @@ def _cmd_weights_ap(cfg: dict, built: dict, out_dir: Path, seed: int,
                 f"window (-1, {p - 1}) says {in_class}")
 
 
-def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path, seed: int,
-                       workers: int) -> None:
+def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path) -> None:
     spec, nspec = built["grid"], built["norm"]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     corpus = make_corpus(spec, cfg["corpus"]["n_fields"],
                          cfg["corpus"].get("kind", "band_limited"), rng)
-    c = cfg.get("c", 1.0)
+    c = built["family"].c
     rows = []
     for kind, check in (("hl", hl_check), ("fs", fs_check)):
         t0 = time.perf_counter()
@@ -587,10 +508,9 @@ def _cmd_maximal_bench(cfg: dict, built: dict, out_dir: Path, seed: int,
                                f"{row['kind']} ratio is {row['ratio']}")
 
 
-def _cmd_vmo(cfg: dict, built: dict, out_dir: Path, seed: int,
-             workers: int) -> None:
+def _cmd_vmo(cfg: dict, built: dict, out_dir: Path) -> None:
     a, center = built["coefficients"], built["center"]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     n_pairs = cfg.get("n_pairs", 4000)
     n_slices = cfg.get("n_slices", 16)
     n_probes = cfg.get("n_probes", 8)
@@ -620,14 +540,13 @@ def _cmd_vmo(cfg: dict, built: dict, out_dir: Path, seed: int,
                     f"of a time-only coefficient")
 
 
-def _cmd_report(cfg: dict, built: dict, out_dir: Path, seed: int,
-                workers: int) -> None:
-    names = cfg.get("inputs")
+def _cmd_report(cfg: dict, built: dict, out_dir: Path) -> None:
+    names, summary = cfg.get("inputs"), cfg.get("summary", "summary.csv")
     if names:
         paths = [out_dir / name for name in names]
     else:
         paths = sorted(p for p in out_dir.glob("*.csv")
-                       if p.name != cfg.get("summary", "summary.csv"))
+                       if p.name != summary)
     if not paths:
         raise ConfigError("no CSV inputs to merge")
     rows = []
@@ -641,7 +560,7 @@ def _cmd_report(cfg: dict, built: dict, out_dir: Path, seed: int,
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         rows.append({"file": path.name, "rows": len(data),
                      "max_ratio": max(ratios) if ratios else ""})
-    path = out_dir / cfg.get("summary", "summary.csv")
+    path = out_dir / summary
     _write_rows(path, ("file", "rows", "max_ratio"), rows)
     print(f"summary={path}")
     for row in rows:
@@ -681,24 +600,24 @@ def main(argv=None) -> int:
              if getattr(args, key) is not None}
     try:
         cfg = _load_config(args.command, args.config, flags)
-        seed = cfg.get("seed", 0)
-        workers = cfg.get("workers", os.cpu_count() or 1)
+        cfg.setdefault("seed", 0)
+        cfg.setdefault("workers", os.cpu_count() or 1)
         out_dir = Path(cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        built = _build_sections(args.command, cfg, seed)
+        built = _build_sections(args.command, cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.dry_run:
         print(f"plan: {args.command} config={args.config} out={out_dir} "
-              f"seed={seed} workers={workers}")
+              f"seed={cfg['seed']} workers={cfg['workers']}")
         keys = ", ".join(sorted(set(cfg) - set(_COMMON)))
         print(f"plan: validated sections: {keys or '<defaults>'}")
         return EXIT_OK
 
     try:
-        _RUNNERS[args.command](cfg, built, out_dir, seed, workers)
+        _RUNNERS[args.command](cfg, built, out_dir)
     except CheckFailure as exc:
         print(f"FAIL {exc.invariant}: {exc}", file=sys.stderr)
         return EXIT_FAIL

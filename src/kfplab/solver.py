@@ -312,10 +312,10 @@ class SolveConfig:
             raise ValueError(f"h0 must lie in (0, {_H_MAX}]")
 
 
-def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_spans=(), origins=()):
+def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None, origins=()):
     """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0 and
-    afresh from each origin, split at the edges and uniformly refined over
-    each (lo, hi, step) span.  Returns consecutive (a, b) pairs."""
+    afresh from each origin, split at the edges and, given fine_step,
+    uniformly refined to it.  Returns consecutive (a, b) pairs."""
     pts = {tau_lo, tau_hi}
     starts = sorted({o for o in origins if 0.0 < o < tau_hi})
     tau, h, base = 0.0, h0, 0.0
@@ -328,20 +328,29 @@ def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_spans=(), origins=()):
     for e in edges:
         if tau_lo < e < tau_hi:
             pts.add(e)
-    for lo, hi, step in fine_spans:
-        lo, hi = max(lo, tau_lo), min(hi, tau_hi)
-        if hi <= lo:
-            continue
-        n = max(1, int(math.ceil((hi - lo) / step)))
-        pts.update((lo + (hi - lo) * j / n) for j in range(1, n))
+    if fine_step is not None:
+        n = max(1, int(math.ceil((tau_hi - tau_lo) / fine_step)))
+        pts.update((tau_lo + (tau_hi - tau_lo) * j / n) for j in range(1, n))
     srt = sorted(pts)
     return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
 
 def _default_h0(rate, lam, ks, xis):
-    """First panel: two e-folds of the kernel at A's top eigenvalue."""
+    """First panel: two e-folds of the kernel at A's top eigenvalue.  A term
+    of the kernel rate that overflows would make it 0, on which the ladder
+    of _panels never advances, so that raises ValueError naming the term."""
     ximax2 = sum(float(np.max(x ** 2)) for x in xis)
     kmax2 = sum(float(np.max(k ** 2)) for k in ks)
+    for name, value in (
+            ("the largest squared x wavenumber", kmax2),
+            ("the largest squared v wavenumber", ximax2),
+            (f"A's top eigenvalue {rate:g} times the largest squared x "
+             f"wavenumber {kmax2:g}", rate * kmax2),
+            (f"A's top eigenvalue {rate:g} times the largest squared v "
+             f"wavenumber {ximax2:g}, plus lam", rate * ximax2 + lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows, so the first history panel "
+                             f"would be 0")
     h = 2.0 / (rate * ximax2 + lam + 1.0)
     if kmax2 > 0:
         h = min(h, (6.0 / (rate * kmax2)) ** (1.0 / 3.0))
@@ -430,9 +439,8 @@ def _node_plan(t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shar
         ts = t_nodes[i:i + step]
         tau_hi = ts[-1] - lo
         cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
-        fine = [(ts[0] - hi, tau_hi, fine_step)] if fine_step is not None else []
         panels = _panels(max(0.0, ts[0] - hi), tau_hi, h0, cfg.growth,
-                         cuts + [t - s for t in ts for s in knots], fine,
+                         cuts + [t - s for t in ts for s in knots], fine_step,
                          [t - b for t in ts for b in steeper])
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()

@@ -46,6 +46,25 @@ def _steady_solve_config():
     }
 
 
+def _pulse_solve_config():
+    """The steady config with a Gaussian pulse term, which the history
+    quadrature solves."""
+    payload = _steady_solve_config()
+    term = payload["source"]["terms"][0]
+    term["profile"] = {"kind": "pulse", "center": 0.5, "width": 0.2}
+    term["factor"] = {"kind": "gaussian", "x_center": [0.0],
+                      "x_freq": [0.0], "x_phase": [0.0],
+                      "v_center": [0.0], "v_freq": [0.0], "v_phase": [0.0]}
+    return payload
+
+
+def _src_env():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    src = str(Path(kfplab.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _d2_solve_config(coefficients):
     return {
         "grid": {"d": 2, "n_t": 3, "n_x": 4, "n_v": 8, "t_lo": 0.0,
@@ -164,12 +183,8 @@ class TestSolveCommand:
         ("profile", "center", math.nan), ("grid", "t_lo", -math.inf)])
     def test_non_finite_input_is_config_error(self, tmp_path, capsys, where,
                                               key, value):
-        payload = _steady_solve_config()
+        payload = _pulse_solve_config()
         term = payload["source"]["terms"][0]
-        term["profile"] = {"kind": "pulse", "center": 0.5, "width": 0.2}
-        term["factor"] = {"kind": "gaussian", "x_center": [0.0],
-                          "x_freq": [0.0], "x_phase": [0.0],
-                          "v_center": [0.0], "v_freq": [0.0], "v_phase": [0.0]}
         parts = {"grid": payload["grid"], "factor": term["factor"],
                  "coefficients": payload["coefficients"],
                  "profile": term["profile"]}
@@ -177,6 +192,24 @@ class TestSolveCommand:
         cfg = _write(tmp_path, "solve.yaml", payload)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+    # a zero first panel never advances the quadrature's panel ladder, so
+    # both overflows used to spin the solve forever
+    @pytest.mark.parametrize("where,key,value,quantity", [
+        ("grid", "L_x", 1.0e-300, "the largest squared x wavenumber overflows"),
+        ("coefficients", "value", 1.0e+308,
+         "A's top eigenvalue 1e+308 times the largest squared x wavenumber")],
+        ids=["tiny_L_x", "huge_value"])
+    def test_zero_first_panel_is_config_error(self, tmp_path, capsys, where,
+                                              key, value, quantity):
+        payload = _pulse_solve_config()
+        payload["coefficients"]["delta"] = 0.5
+        payload[where][key] = value
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solve: ") and quantity in err
+        assert not (tmp_path / "solution.bin").exists()
 
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
         payload = _steady_solve_config()
@@ -250,6 +283,15 @@ class TestSolveCommand:
         cfg = _write(tmp_path, "solve.yaml", _steady_solve_config())
         proc = subprocess.run([exe, "solve", "--config", cfg, "--dry-run"],
                               capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert "plan:" in proc.stdout
+
+    def test_module_entry_point_runs_a_dry_run(self, tmp_path):
+        # the one entry that works without the console script installed
+        cfg = _write(tmp_path, "solve.yaml", _steady_solve_config())
+        proc = subprocess.run([sys.executable, "-m", "kfplab.cli", "solve",
+                               "--config", cfg, "--dry-run"],
+                              capture_output=True, text=True, env=_src_env())
         assert proc.returncode == EXIT_OK
         assert "plan:" in proc.stdout
 
@@ -395,11 +437,8 @@ def test_runtime_import_leaves_out_scipy():
     # a second thread pool beside numpy's
     code = ("import sys, kfplab.cli, kfplab.solver, kfplab.verification, "
             "kfplab.maximal; print('scipy' in sys.modules)")
-    src = str(Path(kfplab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == "False"
 
 
@@ -686,6 +725,24 @@ def test_every_command_schema_passes_the_metaschema():
     # configs are validated without re-checking the schema on each load
     for schema in SCHEMAS.values():
         validator_for(schema).check_schema(schema)
+
+
+def test_every_nested_section_refuses_unknown_keys():
+    # a typo in a nested section must fail as loudly as one at the top
+    def objects(node):
+        if isinstance(node, dict):
+            if node.get("type") == "object":
+                yield node
+            for value in node.values():
+                yield from objects(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from objects(value)
+
+    nodes = [node for schema in SCHEMAS.values() for node in objects(schema)]
+    assert len(nodes) > len(SCHEMAS)
+    for node in nodes:
+        assert node.get("additionalProperties") is False, sorted(node["properties"])
 
 
 @pytest.mark.parametrize("schema,cls", [

@@ -330,10 +330,8 @@ def _per_panel_history(a, lam, cfg, t_nodes, ks, xis, window, source,
             continue
         pieces = _exponent_pieces(a, t_out, ks, xis, t_out - lo)
         edges = [p[0] for p in pieces[1:]] + [t_out - s for s in knots]
-        fine = ([(t_out - hi, t_out - lo, fine_step)]
-                if fine_step is not None else [])
         for p_lo, p_hi in solver._panels(max(0.0, t_out - hi), t_out - lo, h0,
-                                         cfg.growth, edges, fine,
+                                         cfg.growth, edges, fine_step,
                                          [t_out - b for b in steeper]):
             taus = 0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)
             taus_r = taus.reshape((-1,) + (1,) * len(lattice))
@@ -1085,6 +1083,22 @@ class TestSolveInvariants:
         with pytest.raises(ValueError, match="lattice"):
             solve_duhamel(_const_a(), 0.0, pulse + mode, spec)
         assert calls == []
+
+    # a zero first panel never advances the ladder of _panels, so the solve
+    # used to spin forever on any of these overflows
+    @pytest.mark.parametrize("rate,k,xi,quantity", [
+        (1.0, 1e200, 1.0, "the largest squared x wavenumber overflows"),
+        (1.0, 1.0, 1e200, "the largest squared v wavenumber overflows"),
+        (1e308, 10.0, 1.0, "A's top eigenvalue 1e+308 times the largest "
+                           "squared x wavenumber 100 overflows"),
+        (1e308, 0.0, 10.0, "A's top eigenvalue 1e+308 times the largest "
+                           "squared v wavenumber 100, plus lam overflows")],
+        ids=["k", "xi", "rate_k", "rate_xi"])
+    def test_overflowing_first_panel_is_refused(self, rate, k, xi, quantity):
+        ks, xis = [np.array([0.0, k])], [np.array([0.0, xi])]
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            solver._default_h0(rate, 0.0, ks, xis)
+        assert str(info.value).startswith(quantity)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from .grids import GridSpec
 from .maximal import CylinderFamily, fs_check, hl_check, make_corpus
 from .norms import MixedNormSpec, check_transport_grid
 from .solver import (AnalyticSource, SolveConfig, SourceTerm, SpaceFactor,
-                     TimeProfile, solve_duhamel)
+                     TimeProfile, check_history_start, solve_duhamel)
 from .verification import EstimateReport, random_source_corpus, solve_corpus
 from .weights import ProductWeight, Weight1D, ap_constant_1d
 
@@ -156,15 +156,8 @@ SCHEMAS = {
         "grid": _GRID, "coefficients": _COEFF,
         "lam": {"type": "number", "minimum": 0},
         "norm": _NORM, "solver": _SOLVER,
-        "corpus": _strict({
-            "n_cases": {"type": "integer", "minimum": 1},
-            "margin": {"type": "number", "exclusiveMinimum": 0},
-            "sigma_lo": {"type": "number", "exclusiveMinimum": 0},
-            "sigma_hi": {"type": "number", "exclusiveMinimum": 0},
-            "freq_max": {"type": "number", "minimum": 0},
-            "width_lo": {"type": "number", "exclusiveMinimum": 0},
-            "width_hi": {"type": "number", "exclusiveMinimum": 0},
-        }, ["n_cases"]),
+        "corpus": _strict({"n_cases": {"type": "integer", "minimum": 1}},
+                          ["n_cases"]),
         "cap": {"type": "number", "exclusiveMinimum": 0},
         "csv": {"type": "string"},
     }, ["grid", "coefficients", "lam", "norm", "corpus"]),
@@ -172,9 +165,6 @@ SCHEMAS = {
         "n_triples": {"type": "integer", "minimum": 1},
         "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
                  "minItems": 1},
-        "c_lo": {"type": "number", "minimum": 1},
-        "c_hi": {"type": "number", "minimum": 1},
-        "box": {"type": "number", "exclusiveMinimum": 0},
     }, ["n_triples"]),
     "weights-ap": _command({
         "p": {"type": "number", "exclusiveMinimum": 1},
@@ -333,32 +323,20 @@ def _build_sections(command: str, cfg: dict) -> dict:
     if "solver" in SCHEMAS[command]["properties"]:
         built["solver"] = _build(SolveConfig, "solver", cfg.get("solver", {}))
     if command == "geometry-test":
-        window = {key: cfg.get(key, default)
-                  for key, default in (("c_lo", 1.0), ("c_hi", 10.0), ("box", 10.0))}
-        for key, value in window.items():
-            # numpy's uniform draw needs a finite hi - lo; 2 * value bounds it
-            if not math.isfinite(2.0 * value):
-                raise ConfigError(f"geometry-test: {key}={value!r} leaves no "
-                                  f"finite draw range")
-        if window["c_hi"] < window["c_lo"]:
-            raise ConfigError("geometry-test: c_hi must not fall below c_lo")
         built["dims"] = cfg.get("dims", [1, 2, 3])
-        # the largest distance term sums d squared slants x - x0 + (t - t0) v0,
-        # each at most 2 box (1 + box) in size
-        slant = 2.0 * window["box"] * (1.0 + window["box"])
-        if not math.isfinite(max(built["dims"]) * slant * slant):
-            raise ConfigError(f"geometry-test: box={window['box']!r} overflows "
-                              f"the quasi-distance terms")
-        built["window"] = window
     if command == "maximal-bench":
         built["family"] = _checked("maximal-bench", CylinderFamily.for_grid,
                                    built["grid"], c=cfg.get("c", 1.0),
                                    T=built["norm"].T)
     if command == "verify-estimate":
-        corpus = dict(cfg["corpus"])
-        n_cases = corpus.pop("n_cases")
         built["corpus"] = _checked("corpus", random_source_corpus, cfg["seed"],
-                                   n_cases, built["grid"], **corpus)
+                                   cfg["corpus"]["n_cases"], built["grid"])
+    if "solver" in built:  # a zero first panel would stall the run's solve
+        sources = ([built["source"]] if "source" in built
+                   else [source for _, source in built["corpus"]])
+        for source in sources:
+            _checked(command, check_history_start, built["coefficients"],
+                     cfg["lam"], source, built["grid"], built["solver"])
     if command == "weights-ap":
         built["weights"] = [_build(Weight1D, "weights-ap",
                                    {"kind": "power", "p": cfg["p"], "alpha": alpha})
@@ -430,7 +408,6 @@ def _cmd_verify_estimate(cfg: dict, built: dict, out_dir: Path) -> None:
 
 def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path) -> None:
     n = cfg["n_triples"]
-    c_lo, c_hi, box = built["window"].values()
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     for d in built["dims"]:
         bad_sym = 0
@@ -438,10 +415,9 @@ def _cmd_geometry_test(cfg: dict, built: dict, out_dir: Path) -> None:
         checked = 0
         while checked < n:
             m = min(50_000, n - checked)
-            params = QuasiMetricParams(c=float(rng.uniform(c_lo, c_hi)))
-            pts = [(rng.uniform(-box, box, m),
-                    rng.uniform(-box, box, (m, d)),
-                    rng.uniform(-box, box, (m, d))) for _ in range(3)]
+            params = QuasiMetricParams(c=float(rng.uniform(1.0, 10.0)))
+            pts = [[rng.uniform(-10.0, 10.0, shape) for shape in (m, (m, d), (m, d))]
+                   for _ in range(3)]
             (t, x, v), (t0, x0, v0), (t1, x1, v1) = pts
             d_z_z0 = quasi_distance_batch(t, x, v, t0, x0, v0, params)
             d_z0_z = quasi_distance_batch(t0, x0, v0, t, x, v, params)

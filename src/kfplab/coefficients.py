@@ -177,8 +177,14 @@ def _ball(rng: np.random.Generator, center: np.ndarray, radius: float, n: int) -
     return center + radius * out
 
 
-def _pair_diff(a: CoefficientField, t: np.ndarray, x1, v1, x2, v2, norm: str) -> np.ndarray:
-    diff = a.eval(t, x1, v1) - a.eval(t, x2, v2)
+def _pair_diff(a: CoefficientField, rng: np.random.Generator, t: float, x, v,
+               r: float, n: int, norm: str) -> np.ndarray:
+    """|a(t, x1, v1) - a(t, x2, v2)| in the max or Frobenius norm for n
+    pairs, drawn in the order x1, x2 from B_{r^3}(x), then v1, v2 from B_r(v)."""
+    x1, x2 = _ball(rng, x, r ** 3, n), _ball(rng, x, r ** 3, n)
+    v1, v2 = _ball(rng, v, r, n), _ball(rng, v, r, n)
+    ts = np.full(n, t)
+    diff = a.eval(ts, x1, v1) - a.eval(ts, x2, v2)
     if norm == "max":
         return np.max(np.abs(diff), axis=(-2, -1))
     if norm == "fro":
@@ -201,12 +207,7 @@ def osc_xv(a: CoefficientField, Q: Cylinder, n_pairs: int = 10_000,
     for j in range(n_slices):
         t = z0.t - r ** 2 * (j + 0.5) / n_slices
         x_c = z0.x - (t - z0.t) * z0.v
-        ts = np.full(n_pairs, t)
-        x1 = _ball(rng, x_c, r ** 3, n_pairs)
-        x2 = _ball(rng, x_c, r ** 3, n_pairs)
-        v1 = _ball(rng, z0.v, r, n_pairs)
-        v2 = _ball(rng, z0.v, r, n_pairs)
-        diffs = _pair_diff(a, ts, x1, v1, x2, v2, norm)
+        diffs = _pair_diff(a, rng, t, x_c, z0.v, r, n_pairs, norm)
         means[j] = np.mean(diffs)
         variances[j] = np.var(diffs, ddof=1) if n_pairs > 1 else 0.0
     value = float(np.mean(means))
@@ -226,12 +227,7 @@ def osc_prime(a: CoefficientField, r: float, probes, n_pairs: int = 20_000,
     rng = rng or np.random.default_rng(0)
     best, best_se = -math.inf, 0.0
     for z in probes:
-        ts = np.full(n_pairs, z.t)
-        x1 = _ball(rng, z.x, r ** 3, n_pairs)
-        x2 = _ball(rng, z.x, r ** 3, n_pairs)
-        v1 = _ball(rng, z.v, r, n_pairs)
-        v2 = _ball(rng, z.v, r, n_pairs)
-        diffs = _pair_diff(a, ts, x1, v1, x2, v2, "max")
+        diffs = _pair_diff(a, rng, z.t, z.x, z.v, r, n_pairs, "max")
         m = float(np.mean(diffs))
         if m > best:
             best = m

@@ -208,6 +208,23 @@ def _periodic_smooth(vals: np.ndarray, axis: int, m: int, step: float, width: fl
     return out
 
 
+def _shell_sum(term, n_shells: int, settle: float, what: str) -> float:
+    """term(0) + term(1) + ... until, from the third shell on, a shell adds
+    at most settle of the sum.  Raises when the shell terms stop decaying
+    (divergence) or the sum has not settled after n_shells shells."""
+    acc = 0.0
+    prev = math.inf
+    for k in range(n_shells):
+        t = term(k)
+        acc += t
+        if k >= 2 and abs(t) <= settle * max(abs(acc), 1e-300):
+            return acc
+        if k >= 5 and abs(t) >= 0.99 * abs(prev):
+            raise ValueError(f"{what} does not converge: shell terms stopped decaying")
+        prev = t
+    raise ValueError(f"{what} did not settle within {n_shells} dyadic shells")
+
+
 def dyadic_tail(f, sigma: float, R: float, x: float) -> float:
     """g(x) = integral over |y| > R^3 of f(x+y) |y|^{-(1+sigma)} dy on the
     line, accumulated over dyadic shells 2^{3k}R^3 < |y| < 2^{3(k+1)}R^3
@@ -217,20 +234,14 @@ def dyadic_tail(f, sigma: float, R: float, x: float) -> float:
 
     if not (sigma > 0 and R > 0):
         raise ValueError("need sigma > 0 and R > 0")
-    acc = 0.0
-    prev = math.inf
-    for k in range(60):
+
+    def shell(k):
         lo, hi = 2.0 ** (3 * k) * R ** 3, 2.0 ** (3 * (k + 1)) * R ** 3
         pos, _ = integrate.quad(lambda y: f(x + y) * y ** (-1.0 - sigma), lo, hi, limit=200)
         neg, _ = integrate.quad(lambda y: f(x - y) * y ** (-1.0 - sigma), lo, hi, limit=200)
-        term = pos + neg
-        acc += term
-        if k >= 2 and abs(term) <= 1e-10 * max(abs(acc), 1e-300):
-            return acc
-        if k >= 5 and abs(term) >= 0.99 * abs(prev):
-            raise ValueError("tail integral does not converge: shell terms stopped decaying")
-        prev = term
-    raise ValueError("tail integral did not settle within 60 dyadic shells")
+        return pos + neg
+
+    return _shell_sum(shell, 60, 1e-10, "tail integral")
 
 
 def _p_mean(f, radius: float, p: float, n_nodes: int = 65) -> float:
@@ -247,17 +258,11 @@ def dyadic_tail_bound_check(f, sigma: float, R: float, p: float) -> dict:
             <= N R^{-3 sigma} sum_k 2^{-3 k sigma} (|f|^p)^{1/p} over B_{(2^k R)^3}
 
     returned with their ratio; the constant N is fitted by the caller over a
-    corpus."""
-    lhs = _p_mean(lambda xx: dyadic_tail(f, sigma, R, xx), R ** 3, p, n_nodes=17)
-    total = 0.0
-    prev = math.inf
-    for k in range(40):
-        term = 2.0 ** (-3 * k * sigma) * _p_mean(f, 2.0 ** (3 * k) * R ** 3, p)
-        total += term
-        if k >= 2 and term <= 1e-8 * total:
-            break
-        if k >= 5 and term >= 0.99 * prev:
-            raise ValueError("shell sum does not converge")
-        prev = term
+    corpus.  Raises when the shell sum diverges or has not settled to 1e-8
+    within 40 shells."""
+    total = _shell_sum(
+        lambda k: 2.0 ** (-3 * k * sigma) * _p_mean(f, 2.0 ** (3 * k) * R ** 3, p),
+        40, 1e-8, "shell sum")
     rhs = R ** (-3.0 * sigma) * total
+    lhs = _p_mean(lambda xx: dyadic_tail(f, sigma, R, xx), R ** 3, p, n_nodes=17)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}

@@ -357,6 +357,33 @@ def _default_h0(rate, lam, ks, xis):
     return min(h, _H_MAX)
 
 
+def check_history_start(a: CoefficientField, lam: float, f: AnalyticSource,
+                        out_spec: GridSpec, config: SolveConfig) -> None:
+    """Raise the ValueError that solve_duhamel(a, lam, f, out_spec, config)
+    raises before its first history: on a lam that is not finite and
+    nonnegative and, with config.h0 unset, on a default first panel that
+    would be 0.  Overflows that the panel check names stay silent."""
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
+    if config.h0 is not None:
+        return
+    mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
+    rate = max(float(np.linalg.eigvalsh(m)[-1]) for m in mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ks, xis = _half_lattice(out_spec)
+        for term in f.terms:
+            _default_h0(rate, lam, *_term_lattice(term.factor, ks, xis))
+
+
+def _term_lattice(fac: SpaceFactor, ks, xis):
+    """The lattice of a term's history: all of (ks, xis) for a gaussian
+    factor, the one point (0, omega) for a v_mode one."""
+    if fac.kind == "gaussian":
+        return ks, xis
+    return ([np.zeros(1)] * len(ks),
+            [np.array([w], dtype=float) for w in fac.mode_freq])
+
+
 def _axis_modes(n: int, half: bool = False) -> np.ndarray:
     """Mode numbers of one axis as the solver evaluates it: FFT order, cut
     to its first n // 2 + 1 modes on the Hermitian half axis, and on an
@@ -607,9 +634,7 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     u = _real_grid(out_spec, half)
     for term in modes:
         prof, fac = term.profile, term.factor
-        h = term_history(prof, [np.zeros(1)] * out_spec.d,
-                         [np.array([w], dtype=float) for w in fac.mode_freq],
-                         lambda taus: 1.0)
+        h = term_history(prof, *_term_lattice(fac, ks, xis), lambda taus: 1.0)
         u += fac.amplitude * h.real * _spatial_values(fac, out_spec)
     return GridField(out_spec, u)
 

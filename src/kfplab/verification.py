@@ -152,21 +152,16 @@ def estimate_ratio(u: GridField, f: GridField, lam: float,
     return row
 
 
-def random_source_corpus(seed: int, n_cases: int, out_spec: GridSpec, *,
-                         margin: float = 0.25, sigma_lo: float = 0.07,
-                         sigma_hi: float = 0.11, freq_max: float = 2.0,
-                         width_lo: float = 0.08, width_hi: float = 0.14) -> tuple:
+def random_source_corpus(seed: int, n_cases: int, out_spec: GridSpec) -> tuple:
     """Gaussian-modulated pulse sources that decay well inside the box.
 
-    Centers stay within margin times the half-lengths and widths are capped
-    so the tails at the torus edge fall below roughly 1e-9 of the peak,
+    The corpus shape is fixed: pulse centers in the middle 0.3-0.7 of the
+    time window with widths 0.08-0.14 of it; Gaussian centers within 0.25
+    of the half-lengths, widths 0.07-0.11 of them and frequencies up to 2.
+    The tails at the torus edge then fall below roughly 1e-9 of the peak,
     keeping the periodized solve consistent with plain point samples.
     Returns (case_id, source) pairs; deterministic in the seed.
     """
-    if sigma_hi < sigma_lo:
-        raise ValueError("sigma_hi must not fall below sigma_lo")
-    if width_hi < width_lo:
-        raise ValueError("width_hi must not fall below width_lo")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = out_spec.d
     window = out_spec.t_hi - out_spec.t_lo
@@ -175,18 +170,18 @@ def random_source_corpus(seed: int, n_cases: int, out_spec: GridSpec, *,
         profile = TimeProfile(
             kind="pulse",
             center=out_spec.t_lo + window * rng.uniform(0.3, 0.7),
-            width=window * rng.uniform(width_lo, width_hi),
+            width=window * rng.uniform(0.08, 0.14),
             poly=(1.0, rng.uniform(-0.3, 0.3)))
         factor = SpaceFactor(
             kind="gaussian",
             amplitude=rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)),
-            x_center=tuple(rng.uniform(-margin, margin, d) * out_spec.L_x),
-            x_sigma=out_spec.L_x * rng.uniform(sigma_lo, sigma_hi),
-            x_freq=tuple(rng.uniform(0.0, freq_max, d)),
+            x_center=tuple(rng.uniform(-0.25, 0.25, d) * out_spec.L_x),
+            x_sigma=out_spec.L_x * rng.uniform(0.07, 0.11),
+            x_freq=tuple(rng.uniform(0.0, 2.0, d)),
             x_phase=tuple(rng.uniform(0.0, 2.0 * math.pi, d)),
-            v_center=tuple(rng.uniform(-margin, margin, d) * out_spec.L_v),
-            v_sigma=out_spec.L_v * rng.uniform(sigma_lo, sigma_hi),
-            v_freq=tuple(rng.uniform(0.0, freq_max, d)),
+            v_center=tuple(rng.uniform(-0.25, 0.25, d) * out_spec.L_v),
+            v_sigma=out_spec.L_v * rng.uniform(0.07, 0.11),
+            v_freq=tuple(rng.uniform(0.0, 2.0, d)),
             v_phase=tuple(rng.uniform(0.0, 2.0 * math.pi, d)))
         cases.append((f"g{i:02d}", AnalyticSource((SourceTerm(profile, factor),))))
     return tuple(cases)

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,21 +195,28 @@ class TestSolveCommand:
         assert "must be finite" in capsys.readouterr().err
 
     # a zero first panel never advances the quadrature's panel ladder, so
-    # both overflows used to spin the solve forever
-    @pytest.mark.parametrize("where,key,value,quantity", [
-        ("grid", "L_x", 1.0e-300, "the largest squared x wavenumber overflows"),
-        ("coefficients", "value", 1.0e+308,
-         "A's top eigenvalue 1e+308 times the largest squared x wavenumber")],
-        ids=["tiny_L_x", "huge_value"])
+    # both overflows used to spin the solve forever; a dry run passed them,
+    # and the run printed numpy's overflow warning before the config error
+    @pytest.mark.parametrize("where,key,value,quantity,dry_run", [
+        (*case, dry_run) for case in [
+            ("grid", "L_x", 1.0e-300, "the largest squared x wavenumber overflows"),
+            ("coefficients", "value", 1.0e+308,
+             "A's top eigenvalue 1e+308 times the largest squared x wavenumber")]
+        for dry_run in (False, True)],
+        ids=["tiny_L_x", "tiny_L_x_dry", "huge_value", "huge_value_dry"])
     def test_zero_first_panel_is_config_error(self, tmp_path, capsys, where,
-                                              key, value, quantity):
+                                              key, value, quantity, dry_run):
         payload = _pulse_solve_config()
         payload["coefficients"]["delta"] = 0.5
         payload[where][key] = value
         cfg = _write(tmp_path, "solve.yaml", payload)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        argv = ["solve", "--config", cfg, "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: solve: ") and quantity in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "solution.bin").exists()
 
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
@@ -344,20 +352,6 @@ class TestVerifyEstimateCommand:
         assert ((tmp_path / "cfg_seed" / "estimate.csv").read_bytes()
                 == (tmp_path / "flag_seed" / "estimate.csv").read_bytes())
 
-    @pytest.mark.parametrize("lo_key, hi_key", [("sigma_lo", "sigma_hi"),
-                                                ("width_lo", "width_hi")])
-    def test_reversed_corpus_range_is_config_error(self, tmp_path, capsys,
-                                                   lo_key, hi_key):
-        payload = _estimate_config()
-        payload["corpus"].update({lo_key: 0.12, hi_key: 0.08})
-        cfg = _write(tmp_path, "est.yaml", payload)
-        code = main(["verify-estimate", "--config", cfg, "--out",
-                     str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error: corpus:" in err
-        assert lo_key in err and hi_key in err
-
     @pytest.mark.parametrize("t_factor", [
         {"kind": "power", "alpha": 0.5},
         {"kind": "step", "breaks": [0.3, 0.6], "levels": [1.0, 2.0, 0.5]},
@@ -482,14 +476,6 @@ class TestGeometryCommand:
         assert "checked 20000 triples in d=1" in out
         assert "checked 20000 triples in d=2" in out
 
-    def test_largest_box_below_the_overflow_still_checks(self, tmp_path, capsys):
-        # d = 3 slants of 2 box (1 + box) per axis square to about 1.2e305
-        cfg = _write(tmp_path, "geo.yaml",
-                     {"n_triples": 2000, "dims": [3], "box": 1.0e+76})
-        assert main(["geometry-test", "--config", cfg, "--out",
-                     str(tmp_path)]) == EXIT_OK
-        assert "checked 2000 triples in d=3" in capsys.readouterr().out
-
     def test_non_finite_distance_is_a_violation(self, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.setattr(cli, "quasi_distance_batch",
@@ -500,26 +486,6 @@ class TestGeometryCommand:
         captured = capsys.readouterr()
         assert "quasi_symmetry violations=10, quasi_triangle violations=10" in captured.out
         assert captured.err.startswith("FAIL quasi_symmetry")
-
-    def test_bad_c_window_is_config_error(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "geo.yaml",
-                     {"n_triples": 10, "c_lo": 5.0, "c_hi": 2.0})
-        assert main(["geometry-test", "--config", cfg]) == EXIT_CONFIG
-
-    # numpy's uniform draw used to end in OverflowError, exit 1
-    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
-    @pytest.mark.parametrize("key,value", [
-        ("c_hi", ".inf"), ("c_lo", ".inf"), ("box", ".inf"), ("box", "1.0e+308"),
-        ("box", "1.0e+200")])
-    def test_non_finite_draw_range_is_config_error(self, tmp_path, capsys,
-                                                   key, value, dry_run):
-        cfg = tmp_path / "geo.yaml"
-        cfg.write_text(f"n_triples: 10\n{key}: {value}\n")
-        assert main(["geometry-test", "--config", str(cfg), "--out",
-                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: geometry-test: {key}=")
-
 
 class TestWeightsCommand:
     def test_power_weight_table(self, tmp_path, capsys):
@@ -862,30 +828,42 @@ def test_false_weight_bound_is_config_error(tmp_path, capsys, command):
     assert "config error: norm:" in capsys.readouterr().err
 
 
-# a dry run passed these four while a run exited 2
+# a dry run passed these two while a run exited 2
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
-@pytest.mark.parametrize("command,change,message", [
-    ("verify-estimate", {"sigma_lo": 0.2, "sigma_hi": 0.1},
-     "corpus: sigma_hi must not fall below sigma_lo"),
-    ("verify-estimate", {"width_lo": 0.2, "width_hi": 0.1},
-     "corpus: width_hi must not fall below width_lo"),
-    ("solve", [0.7], "source: v_mode frequency must sit on the velocity "
-                     "frequency lattice"),
-    ("solve", [17.0], "source: v_mode frequency beyond the grid Nyquist"),
-], ids=["sigma", "width", "off_lattice", "beyond_nyquist"])
-def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, command, change,
+@pytest.mark.parametrize("mode_freq,message", [
+    ([0.7], "v_mode frequency must sit on the velocity frequency lattice"),
+    ([17.0], "v_mode frequency beyond the grid Nyquist"),
+], ids=["off_lattice", "beyond_nyquist"])
+def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, mode_freq,
                                             message, dry_run):
-    if command == "solve":
-        payload = _steady_solve_config()
-        payload["source"]["terms"][0]["factor"]["mode_freq"] = change
+    payload = _steady_solve_config()
+    payload["source"]["terms"][0]["factor"]["mode_freq"] = mode_freq
+    cfg = _write(tmp_path, "cfg.yaml", payload)
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: source: {message}")
+    assert not list(tmp_path.glob("*.bin"))
+
+
+# the verify-estimate corpus and the geometry-test draws have a fixed shape,
+# so a key that would move them is an unknown key
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+@pytest.mark.parametrize("key", ["margin", "sigma_lo", "sigma_hi", "freq_max",
+                                 "width_lo", "width_hi", "c_lo", "c_hi", "box"])
+def test_fixed_shape_keys_are_unknown(tmp_path, capsys, key, dry_run):
+    if key in ("c_lo", "c_hi", "box"):
+        command, payload = "geometry-test", {"n_triples": 10, key: 1.0}
     else:
-        payload = _estimate_config()
-        payload["corpus"].update(change)
+        command, payload = "verify-estimate", _estimate_config()
+        payload["corpus"][key] = 1.0
     cfg = _write(tmp_path, "cfg.yaml", payload)
     argv = [command, "--config", cfg, "--out", str(tmp_path)]
     assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: schema violation at ")
+    assert f"'{key}' was unexpected" in captured.err
+    assert "checked" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
 class TestFlagValidation:

@@ -317,6 +317,13 @@ class TestDyadicTail:
         assert rep["rhs"] == pytest.approx(1.0 / (1.0 - 0.125), rel=1e-7)
         assert rep["ratio"] == pytest.approx(1.75, rel=1e-6)
 
+    def test_unsettled_shell_sum_is_refused(self):
+        # after 40 shells the last one still adds 0.32% of the sum, which
+        # used to come back as if it had settled: rhs 11.6027 against 12.0312
+        # after 100 shells
+        with pytest.raises(ValueError, match="settle"):
+            dyadic_tail_bound_check(lambda x: math.exp(-x * x), 0.04, 1.0, 100.0)
+
     def test_bound_holds_with_one_constant_across_corpus(self):
         corpus = [
             (lambda y: 1.0, 1.0, 1.0),

@@ -352,6 +352,22 @@ class TestVerifyEstimateCommand:
         assert ((tmp_path / "cfg_seed" / "estimate.csv").read_bytes()
                 == (tmp_path / "flag_seed" / "estimate.csv").read_bytes())
 
+    # the corpus shape is fixed, so a range key is refused as unknown, reversed
+    # or not
+    @pytest.mark.parametrize("lo_key, hi_key", [("sigma_lo", "sigma_hi"),
+                                                ("width_lo", "width_hi")])
+    def test_reversed_corpus_range_is_config_error(self, tmp_path, capsys,
+                                                   lo_key, hi_key):
+        payload = _estimate_config()
+        payload["corpus"].update({lo_key: 0.12, hi_key: 0.08})
+        cfg = _write(tmp_path, "est.yaml", payload)
+        code = main(["verify-estimate", "--config", cfg, "--out",
+                     str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: schema violation at corpus: ")
+        assert f"'{lo_key}'" in err and f"'{hi_key}'" in err
+
     @pytest.mark.parametrize("t_factor", [
         {"kind": "power", "alpha": 0.5},
         {"kind": "step", "breaks": [0.3, 0.6], "levels": [1.0, 2.0, 0.5]},
@@ -486,6 +502,32 @@ class TestGeometryCommand:
         captured = capsys.readouterr()
         assert "quasi_symmetry violations=10, quasi_triangle violations=10" in captured.out
         assert captured.err.startswith("FAIL quasi_symmetry")
+
+    # the draw window is fixed, so a c window or a box is an unknown key
+    def test_bad_c_window_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "geo.yaml",
+                     {"n_triples": 10, "c_lo": 5.0, "c_hi": 2.0})
+        assert main(["geometry-test", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: schema violation at <root>: ")
+        assert "'c_hi', 'c_lo' were unexpected" in err
+
+    # numpy's uniform draw used to end in OverflowError, exit 1
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
+    @pytest.mark.parametrize("key,value", [
+        ("c_hi", ".inf"), ("c_lo", ".inf"), ("box", ".inf"), ("box", "1.0e+308"),
+        ("box", "1.0e+200")])
+    def test_non_finite_draw_range_is_config_error(self, tmp_path, capsys,
+                                                   key, value, dry_run):
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(f"n_triples: 10\n{key}: {value}\n")
+        assert main(["geometry-test", "--config", str(cfg), "--out",
+                     str(tmp_path)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: schema violation at <root>: ")
+        assert f"'{key}' was unexpected" in captured.err
+        assert "checked" not in captured.out
+
 
 class TestWeightsCommand:
     def test_power_weight_table(self, tmp_path, capsys):
@@ -828,21 +870,33 @@ def test_false_weight_bound_is_config_error(tmp_path, capsys, command):
     assert "config error: norm:" in capsys.readouterr().err
 
 
-# a dry run passed these two while a run exited 2
+# a dry run once passed these four while a run exited 2; the corpus ranges
+# are unknown keys now
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry"])
-@pytest.mark.parametrize("mode_freq,message", [
-    ([0.7], "v_mode frequency must sit on the velocity frequency lattice"),
-    ([17.0], "v_mode frequency beyond the grid Nyquist"),
-], ids=["off_lattice", "beyond_nyquist"])
-def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, mode_freq,
+@pytest.mark.parametrize("command,change,message", [
+    ("verify-estimate", {"sigma_lo": 0.2, "sigma_hi": 0.1},
+     "schema violation at corpus: Additional properties are not allowed "
+     "('sigma_hi', 'sigma_lo' were unexpected)"),
+    ("verify-estimate", {"width_lo": 0.2, "width_hi": 0.1},
+     "schema violation at corpus: Additional properties are not allowed "
+     "('width_hi', 'width_lo' were unexpected)"),
+    ("solve", [0.7], "source: v_mode frequency must sit on the velocity "
+                     "frequency lattice"),
+    ("solve", [17.0], "source: v_mode frequency beyond the grid Nyquist"),
+], ids=["sigma", "width", "off_lattice", "beyond_nyquist"])
+def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, command, change,
                                             message, dry_run):
-    payload = _steady_solve_config()
-    payload["source"]["terms"][0]["factor"]["mode_freq"] = mode_freq
+    if command == "solve":
+        payload = _steady_solve_config()
+        payload["source"]["terms"][0]["factor"]["mode_freq"] = change
+    else:
+        payload = _estimate_config()
+        payload["corpus"].update(change)
     cfg = _write(tmp_path, "cfg.yaml", payload)
-    argv = ["solve", "--config", cfg, "--out", str(tmp_path)]
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
     assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: source: {message}")
-    assert not list(tmp_path.glob("*.bin"))
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
 
 
 # the verify-estimate corpus and the geometry-test draws have a fixed shape,

@@ -15,6 +15,8 @@ import argparse
 import csv
 import dataclasses
 import math
+import numbers
+import operator
 import os
 import sys
 import time
@@ -23,8 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend, validator_for
 
 from .coefficients import CoefficientField, osc_prime, osc_xv
 from .geometry import Cylinder, PhasePoint, QuasiMetricParams, quasi_distance_batch
@@ -201,9 +201,60 @@ SCHEMAS = {
 
 
 # JSON Schema's integer admits 2.0, which no integer key can use
-_Draft = validator_for({})
-_Validator = extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
-    "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+_KINDS = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": numbers.Number, "integer": int}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum")}
+
+
+def _is(x, kind: str) -> bool:
+    return isinstance(x, _KINDS[kind]) and isinstance(x, bool) == (kind == "boolean")
+
+
+def _errors(schema: dict, x, path=()):
+    """Yield (-len(path), path, rank, message) for each keyword of schema that
+    x fails, in jsonschema 4.26's order and words; rank: schema names no type
+    that x has.  The first error of greatest key e[:3] is its best_match."""
+    rank = "type" not in schema or not _is(x, schema["type"])
+    for key, arg in schema.items():
+        found, subs = [], []
+        if key == "type" and rank:
+            found = [f"{x!r} is not of type {arg!r}"]
+        elif key in _BOUNDS and _is(x, "number") and _BOUNDS[key][0](x, arg):
+            found = [f"{x!r} is {_BOUNDS[key][1]} of {arg!r}"]
+        elif key == "enum" and x not in arg:
+            found = [f"{x!r} is not one of {arg!r}"]
+        elif key == "const" and x != arg:
+            found = [f"{arg!r} was expected"]
+        elif key == "minItems" and _is(x, "array") and len(x) < arg:
+            found = [f"{x!r} {'should be non-empty' if arg == 1 else 'is too short'}"]
+        elif key == "required" and _is(x, "object"):
+            found = [f"{k!r} is a required property" for k in arg if k not in x]
+        elif key == "additionalProperties" and _is(x, "object") and arg is False:
+            extra = sorted((k for k in x if k not in schema["properties"]), key=str)
+            found = [f"Additional properties are not allowed ({str(extra)[1:-1]} "
+                     f"{'were' if extra[1:] else 'was'} unexpected)"] * bool(extra)
+        elif key == "properties" and _is(x, "object"):
+            subs = [(s, x[k], path + (k,)) for k, s in arg.items() if k in x]
+        elif key == "items" and _is(x, "array"):
+            subs = [(arg, item, path + (i,)) for i, item in enumerate(x)]
+        elif key == "propertyNames" and _is(x, "object"):
+            subs = [(arg, k, path) for k in x]
+        elif key == "allOf":
+            subs = [(s, x, path) for s in arg]
+        elif key == "if":
+            branch = "else" if any(_errors(arg, x)) else "then"
+            subs = [(schema.get(branch, {}), x, path)]
+        yield from ((-len(path), path, rank, message) for message in found)
+        for sub in subs:
+            yield from _errors(*sub)
+
+
+def _schema_violation(schema: dict, cfg) -> tuple | None:
+    """(path, message) of the best_match among cfg's errors, None if valid."""
+    best = max(_errors(schema, cfg), key=lambda e: e[:3], default=None)
+    return best and best[1::2]
 
 
 _FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -230,11 +281,10 @@ def _load_config(command: str, path: str, flags: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     cfg.update(flags)
-    # jsonschema.validate's error choice, minus its per-call metaschema check
-    error = best_match(_Validator(SCHEMAS[command]).iter_errors(cfg))
+    error = _schema_violation(SCHEMAS[command], cfg)
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"schema violation at {where}: {error.message}")
+        where = "/".join(map(str, error[0])) or "<root>"
+        raise ConfigError(f"schema violation at {where}: {error[1]}")
     return cfg
 
 

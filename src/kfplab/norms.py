@@ -211,6 +211,11 @@ def check_transport_grid(spec: GridSpec) -> None:
     """Raise unless the time stencil of transport_derivative fits spec."""
     if spec.n_t < 3:
         raise ValueError("transport derivative needs n_t >= 3 time nodes")
+    # the stencil divides by the spacing, so a subnormal one would overflow
+    if not (0.0 < spec.dt < math.inf and 1.0 / spec.dt < math.inf):
+        raise ValueError(f"time-node spacing (t_hi - t_lo) / (n_t - 1) = "
+                         f"{spec.dt:g} must be positive and finite, with a "
+                         f"finite reciprocal")
 
 
 def transport_derivative(u: GridField) -> GridField:

@@ -65,6 +65,7 @@ _PULSE_CUT = 12.0     # pulse support is truncated at this many widths
 _BLOCK = 1 << 15      # lattice elements per contraction block of _history
 _EXPONENT_CUT = 40.0  # kernel factors below e^{-40} are dropped
 _H_MAX = 2.0          # longest history panel
+_MAX_PANELS = 100_000  # most panels one history partition may take
 
 
 @lru_cache(maxsize=None)
@@ -360,19 +361,21 @@ def _default_h0(rate, lam, ks, xis):
 def check_history_start(a: CoefficientField, lam: float, f: AnalyticSource,
                         out_spec: GridSpec, config: SolveConfig) -> None:
     """Raise the ValueError that solve_duhamel(a, lam, f, out_spec, config)
-    raises before its first history: on a lam that is not finite and
-    nonnegative and, with config.h0 unset, on a default first panel that
-    would be 0.  Overflows that the panel check names stay silent."""
+    raises before it lays out a history: on a lam that is not finite and
+    nonnegative and, per term, with config.h0 unset on a default first panel
+    that would be 0, then on a history span of too many panels.  Overflows
+    that the panel check names stay silent."""
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be finite and nonnegative")
-    if config.h0 is not None:
-        return
     mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
     rate = max(float(np.linalg.eigvalsh(m)[-1]) for m in mats)
     with np.errstate(over="ignore", invalid="ignore"):
         ks, xis = _half_lattice(out_spec)
         for term in f.terms:
-            _default_h0(rate, lam, *_term_lattice(term.factor, ks, xis))
+            if config.h0 is None:
+                _default_h0(rate, lam, *_term_lattice(term.factor, ks, xis))
+            prof = term.profile
+            list(_spans(out_spec.t_nodes, prof.support(), prof.fine_step(), True))
 
 
 def _term_lattice(fac: SpaceFactor, ks, xis):
@@ -449,24 +452,38 @@ def _cubic(qkk, qkv, qvv, tau, out=None):
     return E
 
 
-def _node_plan(t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
-    """Yield (i, ts, taus, wts, segments) per group ts = t_nodes[i:i + len(ts)]
-    of the output times past lo, window = (lo, hi): one group if shared, else
-    one per time.  taus ascend with weights wts on Gauss-Legendre panels over
-    [max(0, ts[0] - hi), ts[-1] - lo], graded geometrically from h0 away from
-    0 and afresh from each t - b, b in steeper, refined to fine_step over the
-    window and split at t - b and t - s for member t, breakpoint b and knot s
-    (a source jump or kink; a pulse's truncation points, e^{-72} below its
-    peak, are none).  The cuts t - b tile [0, ts[-1] - lo] with segments (ta,
-    tb, s0, s1, piece): taus[s0:s1] lie in (ta, tb), member m in piece[m]."""
-    gl_x, gl_w = _leggauss(cfg.quad_order)
+def _spans(t_nodes, window, fine_step, shared):
+    """Yield (i, ts, tau_lo, tau_hi) per group ts = t_nodes[i:i + len(ts)] of
+    the output times past lo, window = (lo, hi): one group if shared, else one
+    per time, and the span [tau_lo, tau_hi] = [max(0, ts[0] - hi), ts[-1] - lo]
+    of its history.  _panels steps its ladder up to tau_hi by at most _H_MAX
+    and refines the span to fine_step, so a span that would take more than
+    _MAX_PANELS panels raises ValueError before it is laid out."""
     lo, hi = window
     step = len(t_nodes) if shared else 1
     for i in range(int(np.searchsorted(t_nodes, lo, side="right")), len(t_nodes), step):
         ts = t_nodes[i:i + step]
-        tau_hi = ts[-1] - lo
+        tau_lo, tau_hi = max(0.0, float(ts[0]) - hi), float(ts[-1]) - lo
+        if not (tau_hi / _H_MAX + (tau_hi - tau_lo) / (fine_step or math.inf)
+                <= _MAX_PANELS):
+            raise ValueError(f"the history span [{tau_lo:g}, {tau_hi:g}] would "
+                             f"take more than {_MAX_PANELS} panels")
+        yield i, ts, tau_lo, tau_hi
+
+
+def _node_plan(t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
+    """Yield (i, ts, taus, wts, segments) per group ts of _spans.  taus ascend
+    with weights wts on Gauss-Legendre panels over its span [tau_lo, tau_hi],
+    graded geometrically from h0 away from 0 and afresh from each t - b, b in
+    steeper, refined to fine_step over the window and split at t - b and
+    t - s for member t, breakpoint b and knot s (a source jump or kink; a
+    pulse's truncation points, e^{-72} below its peak, are none).  The cuts
+    t - b tile [0, tau_hi] with segments (ta, tb, s0, s1, piece): taus[s0:s1]
+    lie in (ta, tb), member m in piece[m]."""
+    gl_x, gl_w = _leggauss(cfg.quad_order)
+    for i, ts, tau_lo, tau_hi in _spans(t_nodes, window, fine_step, shared):
         cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
-        panels = _panels(max(0.0, ts[0] - hi), tau_hi, h0, cfg.growth,
+        panels = _panels(tau_lo, tau_hi, h0, cfg.growth,
                          cuts + [t - s for t in ts for s in knots], fine_step,
                          [t - b for t in ts for b in steeper])
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]

@@ -1,9 +1,12 @@
 """Command line front end: schema validation, exit codes, artifacts, and
 reproducibility of CSV output under identical config and seed."""
 
+import copy
 import csv
 import dataclasses
+import functools
 import math
+import operator
 import os
 import re
 import shutil
@@ -15,7 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from jsonschema.validators import validator_for
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend, validator_for
 
 import kfplab
 from kfplab import cli
@@ -25,6 +31,32 @@ from kfplab.coefficients import CoefficientField
 from kfplab.grids import GridField, GridSpec
 from kfplab.solver import (AnalyticSource, SolveConfig, SourceTerm,
                            SpaceFactor, TimeProfile, solve_duhamel)
+
+
+# the CLI's schema check before it had its own validator, kept as the oracle:
+# jsonschema's latest draft with an integer type that refuses 2.0, and its
+# best_match among the errors
+_DRAFT = validator_for({})
+_ORACLE = extend(_DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine(
+    "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+_OWN_VIOLATION = cli._schema_violation
+
+
+def _oracle_violation(schema, cfg):
+    error = best_match(_ORACLE(schema).iter_errors(cfg))
+    return error and (tuple(error.absolute_path), error.message)
+
+
+@pytest.fixture(autouse=True)
+def _checked_against_the_oracle(monkeypatch):
+    """Every config that a test here loads also checks that the CLI's own
+    validator reports jsonschema's error, or none where jsonschema has none."""
+    def checked(schema, cfg):
+        got = _OWN_VIOLATION(schema, cfg)
+        assert got == _oracle_violation(schema, cfg)
+        return got
+
+    monkeypatch.setattr(cli, "_schema_violation", checked)
 
 
 def _write(tmp_path, name, payload):
@@ -217,6 +249,30 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: solve: ") and quantity in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "solution.bin").exists()
+
+    # _panels laid out about 5e299 ladder points in a Python set and the
+    # process was killed, while a dry run passed; the child's address space
+    # is capped, so a regression fails here without exhausting the machine
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+    def test_history_span_of_too_many_panels_is_config_error(self, tmp_path,
+                                                             dry_run):
+        payload = _pulse_solve_config()
+        payload["grid"].update(n_t=3, t_hi=1.0e+300)
+        payload["source"]["terms"][0]["factor"]["amplitude"] = 1.0e+300
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from kfplab.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--config", cfg, "--out",
+             str(tmp_path)] + ["--dry-run"] * dry_run,
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == ("config error: solve: the history span "
+                               "[0, 1e+300] would take more than 100000 "
+                               "panels\n")
         assert not (tmp_path / "solution.bin").exists()
 
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
@@ -432,6 +488,25 @@ class TestVerifyEstimateCommand:
         err = capsys.readouterr().err
         assert "config error: grid:" in err and "n_t" in err
 
+    # the transport stencil divided by a subnormal spacing: the run printed
+    # numpy's overflow warning and exited 2 on a ratio mismatch that named
+    # no key, while a dry run passed
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+    def test_subnormal_time_spacing_is_config_error(self, tmp_path, capsys,
+                                                    dry_run):
+        payload = _estimate_config()
+        payload["grid"]["t_hi"] = 1.0e-320
+        cfg = _write(tmp_path, "est.yaml", payload)
+        argv = ["verify-estimate", "--config", cfg, "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: time-node spacing "
+                              "(t_hi - t_lo) / (n_t - 1) = 1.24999e-321 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "estimate.csv").exists()
+
     def test_h0_beyond_h_max_is_config_error(self, tmp_path, capsys):
         payload = _estimate_config()
         payload["solver"] = {"h0": 3.0}
@@ -450,6 +525,19 @@ def test_runtime_import_leaves_out_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == "False"
+
+
+def test_runtime_import_leaves_out_jsonschema():
+    # jsonschema is the test oracle of the CLI's own schema validator; at run
+    # time its stack cost every CLI process about 5 MB and 50 ms of import
+    stack = ("jsonschema", "referencing", "rpds", "attrs",
+             "jsonschema_specifications")
+    code = ("import sys, kfplab.cli, kfplab.solver, kfplab.verification, "
+            "kfplab.maximal; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {stack!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_src_env())
+    assert proc.stdout.strip() == "[]"
 
 
 class TestUnwritableOutput:
@@ -930,3 +1018,102 @@ class TestFlagValidation:
         cfg = _write(tmp_path, "solve.yaml", _steady_solve_config())
         code = main(["solve", "--config", cfg, "--workers", "0"])
         assert code == EXIT_CONFIG
+
+
+def _valid_configs():
+    """Valid configs per command; between them they set every key that
+    SCHEMAS takes and take each branch of the coefficient rules."""
+    solve = _pulse_solve_config()
+    solve.update(seed=3, out="o", workers=2, dump="u.bin",
+                 solver={"quad_order": 8, "h0": 0.01, "growth": 1.3})
+    term = solve["source"]["terms"][0]
+    term["profile"]["poly"] = [1.0, 0.5]
+    term["factor"].update(amplitude=2.0, x_sigma=1.0, v_sigma=1.0,
+                          mode_freq=[0.0], mode_phase=0.0)
+    piecewise = _steady_solve_config()
+    piecewise["coefficients"] = {"kind": "time_piecewise", "delta": 0.4,
+                                 "breakpoints": [0.5], "values": [1.0, 0.6]}
+    piecewise["source"]["terms"][0]["profile"]["width"] = 1.0
+    matrix = _d2_solve_config({"kind": "constant_spd", "delta": 0.4,
+                               "matrix": [[2.0, 0.0], [0.0, 2.0]]})
+    estimate = _estimate_config()
+    estimate.update(cap=10.0, csv="e.csv", solver={"growth": 1.1})
+    estimate["norm"].update(T=1.0, weight={
+        "t": {"kind": "step", "breaks": [0.3], "levels": [1.0, 2.0]},
+        "v": [{"kind": "power", "alpha": 0.5, "center": 0.0},
+              {"kind": "constant", "level": 1.0}],
+        "K": 10.0})
+    grid = {"d": 1, "n_t": 5, "n_x": 8, "n_v": 8, "t_lo": 0.0, "t_hi": 1.0,
+            "L_x": 2.0, "L_v": 2.0}
+    return {
+        "solve": [solve, piecewise, matrix],
+        "verify-estimate": [estimate, _estimate_config()],
+        "geometry-test": [{"n_triples": 10, "dims": [1, 2]}],
+        "weights-ap": [{"p": 2.0, "alphas": [-0.5, 0.5], "csv": "w.csv"}],
+        "maximal-bench": [{"grid": grid, "norm": {"p": 2.0, "r": [2.0],
+                                                  "q": 2.0},
+                           "c": 1.5, "corpus": {"n_fields": 2, "kind": "bump"},
+                           "csv": "m.csv"}],
+        "vmo": [{"coefficients": {"kind": "constant_spd", "delta": 0.4,
+                                  "value": 1.0},
+                 "radii": [0.5, 1.0],
+                 "center": {"t": 0.0, "x": [0.0], "v": [0.0]},
+                 "n_pairs": 100, "n_slices": 2, "n_probes": 1,
+                 "expect_time_only": True, "csv": "v.csv"}],
+        "report": [{"inputs": ["a.csv"], "summary": "s.csv"}, {}],
+    }
+
+
+# replacement values: each type, the bounds the schemas draw, the kinds
+# their enums and consts name, and empty or small sections
+_VALUES = [None, True, False, 0, 1, -1, 2, 99, 2 ** 64, 0.0, 1.0, 9.0, -3.5,
+           1.0e+300, math.inf, math.nan, "x", "constant_spd", "time_piecewise",
+           "power", "bump", [], [1.0], [[1.0]], ["a"], {}, {"kind": "constant"}]
+_NEW_KEYS = ["box", "kind", "delta", "value", "matrix", "breakpoints", "values",
+             "n_t", 1]
+
+
+def _paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _one_mutation(draw, command):
+    """A valid config of the command with one key dropped or added, or one
+    value replaced: retyped, past a bound, emptied or of another kind."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_valid_configs()[command])))
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    parent = functools.reduce(operator.getitem, path[:-1], cfg)
+    target = parent[path[-1]] if path else cfg
+    value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+    how = draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "add" and isinstance(target, dict):
+        target[draw(st.sampled_from(_NEW_KEYS))] = value
+    elif how == "add" and isinstance(target, list):
+        target.append(value)
+    elif how == "drop" and path:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_valid_configs_pass_both_validators(command):
+    for cfg in _valid_configs()[command]:
+        assert _OWN_VIOLATION(SCHEMAS[command], cfg) is None
+        assert _oracle_violation(SCHEMAS[command], cfg) is None
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_schema_violation_is_jsonschemas_best_match(command, data):
+    cfg = data.draw(_one_mutation(command))
+    assert (_OWN_VIOLATION(SCHEMAS[command], cfg)
+            == _oracle_violation(SCHEMAS[command], cfg))

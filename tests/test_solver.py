@@ -1100,6 +1100,28 @@ class TestSolveInvariants:
             solver._default_h0(rate, 0.0, ks, xis)
         assert str(info.value).startswith(quantity)
 
+    # _panels laid out about span / 2 ladder points and span / width
+    # refinement points in a Python set, and t_hi = 1e300 exhausted memory;
+    # the span is refused before any panel is laid out, h0 set or not
+    @pytest.mark.parametrize("h0", [None, 0.1], ids=["default_h0", "set_h0"])
+    def test_history_span_of_too_many_panels_is_refused(self, monkeypatch, h0):
+        monkeypatch.setattr(solver, "_panels",
+                            lambda *args: pytest.fail("panels laid out"))
+        spec = GridSpec(d=1, n_t=3, n_x=4, n_v=8, t_lo=0.0, t_hi=1e300,
+                        L_x=2.0, L_v=2.0)
+        f = AnalyticSource((_pulse_term(0.5, 0.2),))
+        for check in (solver.check_history_start, solve_duhamel):
+            with pytest.raises(ValueError, match=r"history span \[0, 1e\+300\] "
+                               r"would take more than 100000 panels"):
+                check(_const_a(), 0.0, f, spec, SolveConfig(h0=h0))
+        # the bound counts a ladder step per h_max and one per fine_step: a
+        # span of 2 * _MAX_PANELS takes the limit, one refinement step more
+        # passes it
+        span = 2.0 * solver._MAX_PANELS
+        assert len(list(solver._spans(np.zeros(1), (-span, 0.0), None, True))) == 1
+        with pytest.raises(ValueError, match="history span"):
+            list(solver._spans(np.zeros(1), (-span, 0.0), span, True))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(quad_order=3)

@@ -381,7 +381,7 @@ def _build_sections(command: str, cfg: dict) -> dict:
     if command == "verify-estimate":
         built["corpus"] = _checked("corpus", random_source_corpus, cfg["seed"],
                                    cfg["corpus"]["n_cases"], built["grid"])
-    if "solver" in built:  # a zero first panel would stall the run's solve
+    if "solver" in built:  # what each of the run's solves would refuse
         sources = ([built["source"]] if "source" in built
                    else [source for _, source in built["corpus"]])
         for source in sources:

@@ -358,30 +358,63 @@ def _default_h0(rate, lam, ks, xis):
     return min(h, _H_MAX)
 
 
-def check_history_start(a: CoefficientField, lam: float, f: AnalyticSource,
-                        out_spec: GridSpec, config: SolveConfig) -> None:
-    """Raise the ValueError that solve_duhamel(a, lam, f, out_spec, config)
-    raises before it lays out a history: on a lam that is not finite and
-    nonnegative and, per term, with config.h0 unset on a default first panel
-    that would be 0, then on a history span of too many panels.  Overflows
-    that the panel check names stay silent."""
+def check_history_start(a: CoefficientField, lam: float, f, out_spec: GridSpec,
+                        config: SolveConfig) -> None:
+    """Raise what solve_duhamel(a, lam, f, out_spec, config), which runs this
+    first, raises before it lays out a history: on a lam that is not finite
+    and nonnegative, coefficients that vary beyond time, dimensions that
+    disagree or pass 2, a source of another type, a sampled source of another
+    shape, a v_mode off the lattice and, per history, with config.h0 unset on
+    a default first panel that would be 0, then on a span or a ladder start
+    of too many panels.  Overflows that the panel check names stay silent."""
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be finite and nonnegative")
+    if a.kind not in ("constant_spd", "time_piecewise"):
+        raise ValueError("the history integral needs coefficients depending "
+                         "on time only")
+    if a.d != out_spec.d:
+        raise ValueError("coefficient/grid dimension mismatch")
+    if out_spec.d > 2:
+        raise ValueError("frequency lattices above dimension 2 do not fit in memory")
+    if isinstance(f, GridField):
+        s = f.spec
+        if out_spec.d != 1 or s.d != 1:
+            raise ValueError("sampled sources are supported in dimension 1 only")
+        if (s.n_x, s.L_x, s.n_v, s.L_v) != (out_spec.n_x, out_spec.L_x,
+                                            out_spec.n_v, out_spec.L_v):
+            raise ValueError("sampled source must share the output grid's "
+                             "position and velocity axes")
+        if s.n_t < 2:
+            raise ValueError("sampled source needs at least two time slices")
+        histories = [(None, (s.t_lo, s.t_hi), None, False)]
+    elif isinstance(f, AnalyticSource):
+        if f.d != out_spec.d:
+            raise ValueError("source/grid dimension mismatch")
+        f.check_modes(out_spec)
+        histories = [(t.factor, t.profile.support(), t.profile.fine_step(), True)
+                     for t in f.terms]
+    else:
+        raise TypeError("source must be an AnalyticSource or a GridField")
     mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
     rate = max(float(np.linalg.eigvalsh(m)[-1]) for m in mats)
+    # below h0 / (growth - 1) the ladder of _panels steps by h0
+    steps = 1.0 / (config.growth - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ks, xis = _half_lattice(out_spec)
-        for term in f.terms:
-            if config.h0 is None:
-                _default_h0(rate, lam, *_term_lattice(term.factor, ks, xis))
-            prof = term.profile
-            list(_spans(out_spec.t_nodes, prof.support(), prof.fine_step(), True))
+        for fac, window, fine_step, shared in histories:
+            h0 = config.h0 or _default_h0(rate, lam, *_term_lattice(fac, ks, xis))
+            for *_, tau_hi in _spans(out_spec.t_nodes, window, fine_step, shared):
+                if min(tau_hi / h0, steps) > _MAX_PANELS:
+                    raise ValueError(f"the panel ladder from h0 = {h0:g} at "
+                                     f"growth {config.growth} would take more "
+                                     f"than {_MAX_PANELS} panels")
 
 
-def _term_lattice(fac: SpaceFactor, ks, xis):
+def _term_lattice(fac: SpaceFactor | None, ks, xis):
     """The lattice of a term's history: all of (ks, xis) for a gaussian
-    factor, the one point (0, omega) for a v_mode one."""
-    if fac.kind == "gaussian":
+    factor or none (a sampled source), the one point (0, omega) for a v_mode
+    one."""
+    if fac is None or fac.kind == "gaussian":
         return ks, xis
     return ([np.zeros(1)] * len(ks),
             [np.array([w], dtype=float) for w in fac.mode_freq])
@@ -608,31 +641,16 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     solution below it is identically zero.
     """
     cfg = config if config is not None else SolveConfig()
-    if not 0 <= lam < math.inf:
-        raise ValueError("lam must be finite and nonnegative")
-    if a.kind not in ("constant_spd", "time_piecewise"):
-        raise ValueError("the history integral needs coefficients depending "
-                         "on time only")
-    if a.d != out_spec.d:
-        raise ValueError("coefficient/grid dimension mismatch")
-    if out_spec.d > 2:
-        raise ValueError("frequency lattices above dimension 2 do not fit in memory")
-
+    check_history_start(a, lam, f, out_spec, cfg)
     history = partial(_history, a, lam, cfg, out_spec.t_nodes)
     ks, xis = _half_lattice(out_spec)
     if isinstance(f, GridField):
-        _check_sampled(f, out_spec)
         s, terms = f.spec, ()
         half = history(ks, xis, (s.t_lo, s.t_hi),
                        _sampled_transform(f, ks[0], xis[0]), knots=s.t_nodes)
-    elif isinstance(f, AnalyticSource):
-        if f.d != out_spec.d:
-            raise ValueError("source/grid dimension mismatch")
-        f.check_modes(out_spec)
+    else:
         terms = f.terms
         half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
-    else:
-        raise TypeError("source must be an AnalyticSource or a GridField")
     modes = [term for term in terms if term.factor.kind == "v_mode"]
 
     def term_history(prof, ks, xis, shifted):
@@ -654,19 +672,6 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
         h = term_history(prof, *_term_lattice(fac, ks, xis), lambda taus: 1.0)
         u += fac.amplitude * h.real * _spatial_values(fac, out_spec)
     return GridField(out_spec, u)
-
-
-def _check_sampled(g: GridField, spec: GridSpec) -> None:
-    """A sampled source must share the output grid's position and velocity
-    axes and hold at least two slices to interpolate between."""
-    if spec.d != 1 or g.spec.d != 1:
-        raise ValueError("sampled sources are supported in dimension 1 only")
-    s = g.spec
-    if (s.n_x, s.L_x, s.n_v, s.L_v) != (spec.n_x, spec.L_x, spec.n_v, spec.L_v):
-        raise ValueError("sampled source must share the output grid's "
-                         "position and velocity axes")
-    if s.n_t < 2:
-        raise ValueError("sampled source needs at least two time slices")
 
 
 def _sampled_transform(g: GridField, k, xi):

@@ -98,6 +98,18 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _capped_main(args):
+    """main(args) in a child process capped at 1 GiB of address space, with
+    one BLAS thread and a 60 s timeout, so a regression that lays out too
+    many panels fails without exhausting the machine."""
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from kfplab.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code] + args,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def _d2_solve_config(coefficients):
     return {
         "grid": {"d": 2, "n_t": 3, "n_x": 4, "n_v": 8, "t_lo": 0.0,
@@ -261,18 +273,29 @@ class TestSolveCommand:
         payload["grid"].update(n_t=3, t_hi=1.0e+300)
         payload["source"]["terms"][0]["factor"]["amplitude"] = 1.0e+300
         cfg = _write(tmp_path, "solve.yaml", payload)
-        code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-                "from kfplab.cli import main; sys.exit(main(sys.argv[1:]))")
-        env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--config", cfg, "--out",
-             str(tmp_path)] + ["--dry-run"] * dry_run,
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = _capped_main(["solve", "--config", cfg, "--out", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr == ("config error: solve: the history span "
                                "[0, 1e+300] would take more than 100000 "
                                "panels\n")
+        assert not (tmp_path / "solution.bin").exists()
+
+    # with h0 = 1e-10 and growth 1 + 1e-7 the panel ladder steps by h0 about
+    # 1e7 times before its steps grow, and the run ended in MemoryError in
+    # _panels while a dry run passed
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+    def test_ladder_start_of_too_many_panels_is_config_error(self, tmp_path,
+                                                             dry_run):
+        payload = _pulse_solve_config()
+        payload["solver"] = {"h0": 1.0e-10, "growth": 1.0000001}
+        cfg = _write(tmp_path, "solve.yaml", payload)
+        proc = _capped_main(["solve", "--config", cfg, "--out", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == ("config error: solve: the panel ladder from "
+                               "h0 = 1e-10 at growth 1.0000001 would take "
+                               "more than 100000 panels\n")
         assert not (tmp_path / "solution.bin").exists()
 
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):
@@ -985,6 +1008,34 @@ def test_dry_run_rejects_what_a_run_rejects(tmp_path, capsys, command, change,
     assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
+
+
+# a dry run passed these while the run's solve refused them: the solver's
+# frequency lattice stops at dimension 2, and a source must match the grid
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("case", ["solve_d3", "solve_source_d", "estimate_d3"])
+def test_dimension_refusal_is_the_same_in_both_modes(tmp_path, capsys, case,
+                                                     dry_run):
+    if case == "solve_d3":
+        command, payload = "solve", _pulse_solve_config()
+        payload["grid"].update(d=3, n_x=4, n_v=4)
+        payload["source"]["terms"][0]["factor"].update(
+            {key: [0.0] * 3 for key in ("x_center", "x_freq", "x_phase",
+                                        "v_center", "v_freq", "v_phase")})
+    elif case == "solve_source_d":
+        command, payload = "solve", _steady_solve_config()
+        payload["grid"]["d"] = 2
+    else:
+        command, payload = "verify-estimate", _estimate_config(n_cases=1)
+        payload["grid"].update(d=3, n_x=4, n_v=4)
+        payload["norm"]["r"] = [2.0] * 3
+    message = ("source/grid dimension mismatch" if case == "solve_source_d"
+               else "frequency lattices above dimension 2 do not fit in memory")
+    cfg = _write(tmp_path, "cfg.yaml", payload)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {command}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
 # the verify-estimate corpus and the geometry-test draws have a fixed shape,

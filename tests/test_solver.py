@@ -1,6 +1,7 @@
 """History-integral solver: transform oracles, closed-form anchors, operator
 identities, and residual closure of the solve-then-apply round trip."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +144,25 @@ class TestTransformOracles:
                         v_freq=(0.0, 0.0), v_phase=(0.0, 0.0))
         with pytest.raises(ValueError, match="term"):
             AnalyticSource(())
+
+    @pytest.mark.parametrize("case,message", [
+        ("mixed_dimensions", "all terms must share one dimension"),
+        ("sample_dimension", "source/grid dimension mismatch"),
+        ("boxcar_order", "boxcar endpoints must be increasing"),
+        ("empty_poly", "pulse needs at least one polynomial coefficient")])
+    def test_source_refusals(self, case, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if case == "mixed_dimensions":
+                AnalyticSource((_pulse_term(0.4, 0.3), SourceTerm(
+                    TimeProfile(kind="boxcar"),
+                    SpaceFactor(kind="v_mode", mode_freq=(0.0, 0.0)))))
+            elif case == "sample_dimension":
+                AnalyticSource((_pulse_term(0.4, 0.3),)).sample(GridSpec(
+                    d=2, n_t=2, n_x=4, n_v=4, t_lo=0.0, t_hi=1.0, L_x=3.0, L_v=2.0))
+            elif case == "boxcar_order":
+                TimeProfile(kind="boxcar", start=1.0, stop=1.0)
+            else:
+                TimeProfile(kind="pulse", poly=())
 
     # a non-finite pulse center or width, or a non-finite space factor
     # field, used to pass into the solver and come out as nan, zeros or a
@@ -1122,6 +1142,110 @@ class TestSolveInvariants:
         with pytest.raises(ValueError, match="history span"):
             list(solver._spans(np.zeros(1), (-span, 0.0), span, True))
 
+    # solve_duhamel runs check_history_start first and raises nothing itself
+    # before its first history, so a dry run refuses exactly what a run does
+    _REFUSALS = {
+        "negative_lam": "lam must be finite and nonnegative",
+        "nan_lam": "lam must be finite and nonnegative",
+        "not_time_only": "coefficients depending on time only",
+        "coefficient_grid_d": "coefficient/grid dimension mismatch",
+        "source_grid_d": "source/grid dimension mismatch",
+        "d3": "above dimension 2",
+        "other_type": "source must be an AnalyticSource or a GridField",
+        "sampled_d2": "sampled sources are supported in dimension 1 only",
+        "sampled_axes": "share the output grid's position and velocity axes",
+        "sampled_one_slice": "at least two time slices",
+        "off_lattice": "sit on the velocity frequency lattice",
+        "beyond_nyquist": "beyond the grid Nyquist",
+        "zero_first_panel": "the first history panel would be 0",
+        "span": "history span",
+        "ladder": "panel ladder",
+        "sampled_ladder": "panel ladder"}
+
+    @pytest.mark.parametrize("case", list(_REFUSALS))
+    def test_precheck_refuses_what_the_solve_refuses(self, monkeypatch, case):
+        for name in ("_panels", "_history"):
+            monkeypatch.setattr(solver, name,
+                                lambda *args, **kw: pytest.fail("history laid out"))
+        spec = self._grid()
+        a, lam, cfg = _const_a(), 0.0, SolveConfig()
+        f = AnalyticSource((_pulse_term(0.4, 0.3),))
+
+        def grid(**change):
+            return dataclasses.replace(spec, **change)
+
+        def mode(*freq):
+            return AnalyticSource((SourceTerm(
+                TimeProfile(kind="boxcar", start=0.0, stop=1.0),
+                SpaceFactor(kind="v_mode", mode_freq=freq)),))
+
+        def sampled(s):
+            return GridField(s, np.zeros(s.shape))
+
+        if case == "negative_lam":
+            lam = -0.1
+        elif case == "nan_lam":
+            lam = math.nan
+        elif case == "not_time_only":
+            a = CoefficientField(kind="smooth_variable", d=1, delta=0.5,
+                                 fn=lambda t, x, v: np.ones(np.shape(t) + (1, 1)))
+        elif case == "coefficient_grid_d":
+            a = _const_a(d=2)
+        elif case == "source_grid_d":
+            a, spec = _const_a(d=2), grid(d=2)
+        elif case == "d3":
+            a, spec, f = _const_a(d=3), grid(d=3, n_x=2, n_v=2), mode(0.0, 0.0, 0.0)
+        elif case == "other_type":
+            f = lambda t: t  # noqa: E731
+        elif case == "sampled_d2":
+            a, spec, f = _const_a(d=2), grid(d=2), sampled(grid(d=2))
+        elif case == "sampled_axes":
+            f = sampled(grid(L_x=8.0))
+        elif case == "sampled_one_slice":
+            f = sampled(grid(n_t=1, t_hi=0.0))
+        elif case == "off_lattice":
+            f = mode(0.7)
+        elif case == "beyond_nyquist":
+            f = mode(np.pi / 4.0 * 5)
+        elif case == "zero_first_panel":
+            spec = grid(L_x=1e-300)
+        elif case == "span":
+            spec = grid(n_t=3, t_hi=1e300)
+        else:
+            cfg = SolveConfig(h0=1e-10, growth=1.0000001)
+            f = sampled(spec) if case == "sampled_ladder" else f
+        errors = []
+        for check in (solver.check_history_start, solve_duhamel):
+            with pytest.raises((ValueError, TypeError)) as info:
+                check(a, lam, f, spec, cfg)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] and self._REFUSALS[case] in errors[0][1]
+
+    # the ladder of _panels steps by h0 until its step (growth - 1) tau passes
+    # h0: with h0 = 1e-10 and growth 1 + 1e-7 that is about 1e7 points, which
+    # exhausted memory; a ladder start over _MAX_PANELS steps is refused, and
+    # one just under it passes
+    def test_ladder_start_of_too_many_panels_is_refused(self, monkeypatch):
+        monkeypatch.setattr(solver, "_panels",
+                            lambda *args: pytest.fail("panels laid out"))
+        f = AnalyticSource((_pulse_term(0.4, 0.3),))
+        spec = self._grid()
+        limit = solver._MAX_PANELS
+        with pytest.raises(ValueError, match=r"^the panel ladder from h0 = 1e-10 "
+                           r"at growth 1.0000001 would take more than 100000 "
+                           r"panels$"):
+            solve_duhamel(_const_a(), 0.0, f, spec,
+                          SolveConfig(h0=1e-10, growth=1.0000001))
+        # the bound is the smaller of tau_hi / h0 and 1 / (growth - 1)
+        solver.check_history_start(_const_a(), 0.0, f, spec,
+                                   SolveConfig(h0=1e-10, growth=1.0 + 1.01 / limit))
+        h0 = (spec.t_hi - f.support()[0]) / limit  # tau_hi of the one span
+        solver.check_history_start(_const_a(), 0.0, f, spec,
+                                   SolveConfig(h0=1.01 * h0, growth=1.0 + 1e-9))
+        with pytest.raises(ValueError, match="panel ladder"):
+            solver.check_history_start(_const_a(), 0.0, f, spec,
+                                       SolveConfig(h0=0.99 * h0, growth=1.0 + 1e-9))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(quad_order=3)
@@ -1264,6 +1388,13 @@ class TestCauchy:
         f = AnalyticSource((_pulse_term(0.3, 0.05),))
         with pytest.raises(ValueError, match="leak"):
             cauchy_solve(_const_a(), None, f, 0.0, 1.5, self._spec())
+
+    def test_sampled_source_leak_below_start_raises(self):
+        src = GridSpec(d=1, n_t=4, n_x=12, n_v=12, t_lo=-0.5, t_hi=1.5,
+                       L_x=6.0, L_v=4.0)
+        g = GridField(src, np.zeros(src.shape))
+        with pytest.raises(ValueError, match="sampled source history leaks"):
+            cauchy_solve(_const_a(), None, g, 0.0, 1.5, self._spec())
 
     def test_window_must_match_grid(self):
         f = AnalyticSource((_pulse_term(0.75, 0.05),))

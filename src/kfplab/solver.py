@@ -14,8 +14,9 @@ E is cubic in tau on each coefficient piece.  So where t - tau stays in
 piece j from a cut ta = t - b on, b a breakpoint, the kernel factors into
 exp(-X_t(ta)) exp(-lam (tau - ta) - Q_j(tau) + Q_j(ta)), with X_t(ta) the
 exponent reached at ta and Q_j the cubic of piece j: only the first factor
-depends on t.  _history integrates over the nodes of _node_plan, and each
-source kind supplies its weights and its shifted transform at the nodes:
+depends on t.  check_history_start alone lays out the histories, by
+_node_plan, and _history only contracts over their nodes, where each source
+kind supplies its weights and its shifted transform:
 
 - gaussian terms have spatial transforms known in closed form at any
   frequency; the continuum transform of a rapidly decaying profile becomes
@@ -313,25 +314,34 @@ class SolveConfig:
             raise ValueError(f"h0 must lie in (0, {_H_MAX}]")
 
 
-def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None, origins=()):
+def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None, origins=(),
+            used=0):
     """Partition of [tau_lo, tau_hi]: geometric ladder away from tau = 0 and
     afresh from each origin, split at the edges and, given fine_step,
-    uniformly refined to it.  Returns consecutive (a, b) pairs."""
-    pts = {tau_lo, tau_hi}
+    uniformly refined to it.  Returns consecutive (a, b) pairs, at most
+    _MAX_PANELS - used of them: it counts the panels of the refinement and
+    the edges before it makes any, then one per ladder step as it takes it,
+    and raises ValueError once the count passes that."""
+    edges = [e for e in edges if tau_lo < e < tau_hi]
+    n = 1 if fine_step is None else (tau_hi - tau_lo) / fine_step
+    if not used + n + len(edges) <= _MAX_PANELS:
+        raise ValueError(f"the history span [{tau_lo:g}, {tau_hi:g}] would "
+                         f"take more than {_MAX_PANELS} panels")
+    n = max(1, math.ceil(n))
+    pts = {tau_lo, tau_hi, *edges}
+    pts.update((tau_lo + (tau_hi - tau_lo) * j / n) for j in range(1, n))
+    used += n + len(edges)
     starts = sorted({o for o in origins if 0.0 < o < tau_hi})
     tau, h, base = 0.0, h0, 0.0
     while (tau := tau + h) < tau_hi:
+        if (used := used + 1) > _MAX_PANELS:
+            raise ValueError(f"the panel ladder from h0 = {h0:g} at growth "
+                             f"{growth} would take more than {_MAX_PANELS} panels")
         while starts and starts[0] <= tau:
             tau = base = starts.pop(0)
         if tau > tau_lo:
             pts.add(tau)
         h = min(max(h0, (growth - 1.0) * (tau - base)), _H_MAX)
-    for e in edges:
-        if tau_lo < e < tau_hi:
-            pts.add(e)
-    if fine_step is not None:
-        n = max(1, int(math.ceil((tau_hi - tau_lo) / fine_step)))
-        pts.update((tau_lo + (tau_hi - tau_lo) * j / n) for j in range(1, n))
     srt = sorted(pts)
     return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
@@ -359,14 +369,15 @@ def _default_h0(rate, lam, ks, xis):
 
 
 def check_history_start(a: CoefficientField, lam: float, f, out_spec: GridSpec,
-                        config: SolveConfig) -> None:
-    """Raise what solve_duhamel(a, lam, f, out_spec, config), which runs this
-    first, raises before it lays out a history: on a lam that is not finite
-    and nonnegative, coefficients that vary beyond time, dimensions that
-    disagree or pass 2, a source of another type, a sampled source of another
-    shape, a v_mode off the lattice and, per history, with config.h0 unset on
-    a default first panel that would be 0, then on a span or a ladder start
-    of too many panels.  Overflows that the panel check names stay silent."""
+                        config: SolveConfig) -> list:
+    """The _node_plan of each history that solve_duhamel(a, lam, f, out_spec,
+    config), which runs this first, contracts, in its order: the one owner of
+    their layout.  Raises on a lam that is not finite and nonnegative,
+    coefficients that vary beyond time, dimensions that disagree or pass 2, a
+    source of another type, a sampled source of another shape, a v_mode off
+    the lattice and, per history, with config.h0 unset on a default first
+    panel that would be 0, then on a layout of too many panels.  Overflows
+    that the first-panel check names stay silent."""
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be finite and nonnegative")
     if a.kind not in ("constant_spd", "time_piecewise"):
@@ -386,28 +397,31 @@ def check_history_start(a: CoefficientField, lam: float, f, out_spec: GridSpec,
                              "position and velocity axes")
         if s.n_t < 2:
             raise ValueError("sampled source needs at least two time slices")
-        histories = [(None, (s.t_lo, s.t_hi), None, False)]
+        histories = [(None, (s.t_lo, s.t_hi), None, s.t_nodes, False)]
     elif isinstance(f, AnalyticSource):
         if f.d != out_spec.d:
             raise ValueError("source/grid dimension mismatch")
         f.check_modes(out_spec)
-        histories = [(t.factor, t.profile.support(), t.profile.fine_step(), True)
-                     for t in f.terms]
+        histories = [(t.factor, t.profile.support(), t.profile.fine_step(),
+                      t.profile.support() if t.profile.kind == "boxcar" else (),
+                      True)
+                     for t in sorted(f.terms, key=lambda t: t.factor.kind == "v_mode")]
     else:
         raise TypeError("source must be an AnalyticSource or a GridField")
-    mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
-    rate = max(float(np.linalg.eigvalsh(m)[-1]) for m in mats)
-    # below h0 / (growth - 1) the ladder of _panels steps by h0
-    steps = 1.0 / (config.growth - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ks, xis = _half_lattice(out_spec)
-        for fac, window, fine_step, shared in histories:
-            h0 = config.h0 or _default_h0(rate, lam, *_term_lattice(fac, ks, xis))
-            for *_, tau_hi in _spans(out_spec.t_nodes, window, fine_step, shared):
-                if min(tau_hi / h0, steps) > _MAX_PANELS:
-                    raise ValueError(f"the panel ladder from h0 = {h0:g} at "
-                                     f"growth {config.growth} would take more "
-                                     f"than {_MAX_PANELS} panels")
+    mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
+                    else ((a.matrix,), ()))
+    rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
+    # going back across these the kernel steepens, so the ladder restarts
+    steeper = [b for b, older, newer in zip(breaks, rates, rates[1:]) if older > newer]
+    ks, xis = _half_lattice(out_spec)
+    plans = []
+    for fac, window, fine_step, knots, shared in histories:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h0 = config.h0 or _default_h0(max(rates), lam,
+                                          *_term_lattice(fac, ks, xis))
+        plans.append(_node_plan(out_spec.t_nodes, window, config, h0, breaks,
+                                steeper, fine_step, knots, shared))
+    return plans
 
 
 def _term_lattice(fac: SpaceFactor | None, ks, xis):
@@ -485,75 +499,61 @@ def _cubic(qkk, qkv, qvv, tau, out=None):
     return E
 
 
-def _spans(t_nodes, window, fine_step, shared):
-    """Yield (i, ts, tau_lo, tau_hi) per group ts = t_nodes[i:i + len(ts)] of
-    the output times past lo, window = (lo, hi): one group if shared, else one
-    per time, and the span [tau_lo, tau_hi] = [max(0, ts[0] - hi), ts[-1] - lo]
-    of its history.  _panels steps its ladder up to tau_hi by at most _H_MAX
-    and refines the span to fine_step, so a span that would take more than
-    _MAX_PANELS panels raises ValueError before it is laid out."""
-    lo, hi = window
-    step = len(t_nodes) if shared else 1
-    for i in range(int(np.searchsorted(t_nodes, lo, side="right")), len(t_nodes), step):
-        ts = t_nodes[i:i + step]
-        tau_lo, tau_hi = max(0.0, float(ts[0]) - hi), float(ts[-1]) - lo
-        if not (tau_hi / _H_MAX + (tau_hi - tau_lo) / (fine_step or math.inf)
-                <= _MAX_PANELS):
-            raise ValueError(f"the history span [{tau_lo:g}, {tau_hi:g}] would "
-                             f"take more than {_MAX_PANELS} panels")
-        yield i, ts, tau_lo, tau_hi
-
-
 def _node_plan(t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
-    """Yield (i, ts, taus, wts, segments) per group ts of _spans.  taus ascend
-    with weights wts on Gauss-Legendre panels over its span [tau_lo, tau_hi],
-    graded geometrically from h0 away from 0 and afresh from each t - b, b in
+    """[(i, ts, taus, wts, segments)] per group ts = t_nodes[i:i + len(ts)] of
+    the output times past lo, window = (lo, hi): one group if shared, else one
+    per time.  taus ascend with weights wts on Gauss-Legendre panels over the
+    group's span [tau_lo, tau_hi] = [max(0, ts[0] - hi), ts[-1] - lo], graded
+    geometrically from h0 away from 0 and afresh from each t - b, b in
     steeper, refined to fine_step over the window and split at t - b and
     t - s for member t, breakpoint b and knot s (a source jump or kink; a
     pulse's truncation points, e^{-72} below its peak, are none).  The cuts
     t - b tile [0, tau_hi] with segments (ta, tb, s0, s1, piece): taus[s0:s1]
-    lie in (ta, tb), member m in piece[m]."""
+    lie in (ta, tb), member m in piece[m].  All groups take _MAX_PANELS panels
+    at most."""
     gl_x, gl_w = _leggauss(cfg.quad_order)
-    for i, ts, tau_lo, tau_hi in _spans(t_nodes, window, fine_step, shared):
+    lo, hi = window
+    step = len(t_nodes) if shared else 1
+    plan, used = [], 0
+    for i in range(int(np.searchsorted(t_nodes, lo, side="right")), len(t_nodes), step):
+        ts = t_nodes[i:i + step]
+        tau_lo, tau_hi = max(0.0, float(ts[0]) - hi), float(ts[-1]) - lo
         cuts = sorted({t - b for t in ts for b in breaks if 0.0 < t - b < tau_hi})
         panels = _panels(tau_lo, tau_hi, h0, cfg.growth,
                          cuts + [t - s for t in ts for s in knots], fine_step,
-                         [t - b for t in ts for b in steeper])
+                         [t - b for t in ts for b in steeper], used)
+        used += len(panels)
         p_lo, p_hi = np.reshape(panels, (-1, 2)).T[:, :, None]
         taus = (0.5 * (p_hi - p_lo) * gl_x + 0.5 * (p_lo + p_hi)).ravel()
         wts = (0.5 * (p_hi - p_lo) * gl_w).ravel()
         ends = [0.0] + cuts + [tau_hi]
         bounds = np.searchsorted(taus, ends).tolist()
-        yield i, ts, taus, wts, [
+        plan.append((i, ts, taus, wts, [
             (ta, tb, s0, s1, np.searchsorted(breaks, ts - 0.5 * (ta + tb), "right"))
-            for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:])]
+            for ta, tb, s0, s1 in zip(ends, ends[1:], bounds, bounds[1:])]))
+    return plan
 
 
-def _history(a, lam, cfg, t_nodes, ks, xis, window, source, fine_step=None,
-             knots=(), shared=False):
+def _history(a, lam, n_t, ks, xis, plan, source):
     """The history integral of one source on the lattice (ks, xis) over the
-    nodes of _node_plan, shape (len(t_nodes),) + lattice.  source(ts, taus)
-    gives its weights, broadcastable to (len(ts), len(taus)), and its transform
-    at (k, xi - tau k), broadcastable to (len(taus),) + lattice and free of t
-    if shared.  A block takes one kernel and one product per piece, a row and
-    segment one exp(-X_t(ta)), each zero past _EXPONENT_CUT.  The exponent never
-    decreases along tau: a piece stops at its first block wholly past the cut,
-    and a member once X_t is past it everywhere."""
-    mats, breaks = ((a.matrices, a.breakpoints) if a.kind == "time_piecewise"
-                    else ((a.matrix,), ()))
-    rates = [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
-    h0 = cfg.h0 if cfg.h0 is not None else _default_h0(max(rates), lam, ks, xis)
+    nodes of plan, a _node_plan of n_t output times, shape (n_t,) + lattice.
+    source(ts, taus) gives its weights, broadcastable to (len(ts),
+    len(taus)), and its transform at (k, xi - tau k), broadcastable to
+    (len(taus),) + lattice and free of t in a group of several times.  A
+    block takes one kernel and one product per piece, a row and segment one
+    exp(-X_t(ta)), each zero past _EXPONENT_CUT.  The exponent never
+    decreases along tau: a piece stops at its first block wholly past the
+    cut, and a member once X_t is past it everywhere."""
+    mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
     quads = [_quadratics(m, ks, xis) for m in mats]
-    # going back across these the kernel steepens, so the ladder restarts
-    steeper = [b for b, older, newer in zip(breaks, rates, rates[1:]) if older > newer]
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
     block = max(1, _BLOCK // math.prod(lattice))
-    out = np.zeros((len(t_nodes),) + lattice, dtype=complex)
+    out = np.zeros((n_t,) + lattice, dtype=complex)
     work_x = np.empty((block,) + lattice)
     work_s = np.empty((block,) + lattice, dtype=complex)
-    work_c = np.empty((len(t_nodes) if shared else 1, 2 * math.prod(lattice)))
-    for i, ts, taus, wts, segments in _node_plan(
-            t_nodes, window, cfg, h0, breaks, steeper, fine_step, knots, shared):
+    work_c = np.empty((max((len(ts) for _, ts, *_ in plan), default=1),
+                       2 * math.prod(lattice)))
+    for i, ts, taus, wts, segments in plan:
         group = out[i:i + len(ts)]
         taus_r = taus.reshape((-1,) + (1,) * len(lattice))
         X = np.zeros(group.shape) if len(segments) > 1 else None  # X_t(ta)
@@ -641,24 +641,21 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
     solution below it is identically zero.
     """
     cfg = config if config is not None else SolveConfig()
-    check_history_start(a, lam, f, out_spec, cfg)
-    history = partial(_history, a, lam, cfg, out_spec.t_nodes)
+    plans = iter(check_history_start(a, lam, f, out_spec, cfg))
     ks, xis = _half_lattice(out_spec)
     if isinstance(f, GridField):
-        s, terms = f.spec, ()
-        half = history(ks, xis, (s.t_lo, s.t_hi),
-                       _sampled_transform(f, ks[0], xis[0]), knots=s.t_nodes)
+        terms = ()
+        half = _history(a, lam, out_spec.n_t, ks, xis, next(plans),
+                        _sampled_transform(f, ks[0], xis[0]))
     else:
         terms = f.terms
         half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
     modes = [term for term in terms if term.factor.kind == "v_mode"]
 
     def term_history(prof, ks, xis, shifted):
-        jumps = prof.support() if prof.kind == "boxcar" else ()
-        return history(ks, xis, prof.support(),
-                       lambda ts, taus: (prof.value(np.subtract.outer(ts, taus)),
-                                         shifted(taus)),
-                       prof.fine_step(), jumps, shared=True)
+        return _history(a, lam, out_spec.n_t, ks, xis, next(plans),
+                        lambda ts, taus: (prof.value(np.subtract.outer(ts, taus)),
+                                          shifted(taus)))
 
     for term in terms:
         prof, fac = term.profile, term.factor

@@ -283,19 +283,25 @@ class TestSolveCommand:
 
     # with h0 = 1e-10 and growth 1 + 1e-7 the panel ladder steps by h0 about
     # 1e7 times before its steps grow, and the run ended in MemoryError in
-    # _panels while a dry run passed
-    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+    # _panels while a dry run passed; at growth 1.000011 and 1.00002 it
+    # steps by h0 fewer times, but takes about 1.2e6 and 7e5 steps in all,
+    # and both modes passed while the run took 12-20 s
+    @pytest.mark.parametrize("growth,dry_run", [
+        (growth, dry_run) for growth in (1.0000001, 1.000011, 1.00002)
+        for dry_run in (False, True)],
+        ids=["run", "dry_run", "1.000011_run", "1.000011_dry_run",
+             "1.00002_run", "1.00002_dry_run"])
     def test_ladder_start_of_too_many_panels_is_config_error(self, tmp_path,
-                                                             dry_run):
+                                                             growth, dry_run):
         payload = _pulse_solve_config()
-        payload["solver"] = {"h0": 1.0e-10, "growth": 1.0000001}
+        payload["solver"] = {"h0": 1.0e-10, "growth": growth}
         cfg = _write(tmp_path, "solve.yaml", payload)
         proc = _capped_main(["solve", "--config", cfg, "--out", str(tmp_path)]
                             + ["--dry-run"] * dry_run)
         assert proc.returncode == EXIT_CONFIG, proc.stderr
-        assert proc.stderr == ("config error: solve: the panel ladder from "
-                               "h0 = 1e-10 at growth 1.0000001 would take "
-                               "more than 100000 panels\n")
+        assert proc.stderr == (f"config error: solve: the panel ladder from "
+                               f"h0 = 1e-10 at growth {growth} would take "
+                               f"more than 100000 panels\n")
         assert not (tmp_path / "solution.bin").exists()
 
     def test_matrix_dimension_must_match_the_grid(self, tmp_path, capsys):

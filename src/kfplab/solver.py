@@ -15,7 +15,11 @@ piece j from a cut ta = t - b on, b a breakpoint, the kernel factors into
 exp(-X_t(ta)) exp(-lam (tau - ta) - Q_j(tau) + Q_j(ta)), with X_t(ta) the
 exponent reached at ta and Q_j the cubic of piece j: only the first factor
 depends on t.  check_history_start alone lays out the histories, by
-_node_plan, and _history only contracts over their nodes, where each source
+_node_plan, and _history only contracts over their nodes.  It forms the
+kernel in blocks of _BLOCK lattice elements, with one source call per block
+and one cubic exponent per block and piece, and contracts in panels as tall
+as a group's most output times: the products of consecutive blocks wait in
+a stage, and one matrix product adds a panel into the sums.  Each source
 kind supplies its weights and its shifted transform:
 
 - gaussian terms have spatial transforms known in closed form at any
@@ -63,7 +67,7 @@ from .grids import (GridField, GridSpec, fft_integers, node_phase, on_axis,
 from .norms import second_derivatives, spectral_derivative, transport_derivative
 
 _PULSE_CUT = 12.0     # pulse support is truncated at this many widths
-_BLOCK = 1 << 15      # lattice elements per contraction block of _history
+_BLOCK = 1 << 15      # lattice elements per kernel block
 _EXPONENT_CUT = 40.0  # kernel factors below e^{-40} are dropped
 _H_MAX = 2.0          # longest history panel
 _MAX_PANELS = 100_000  # most panels one history partition may take
@@ -320,19 +324,27 @@ def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None, origins=(),
     afresh from each origin, split at the edges and, given fine_step,
     uniformly refined to it.  Returns consecutive (a, b) pairs, at most
     _MAX_PANELS - used of them: it counts the panels of the refinement and
-    the edges before it makes any, then one per ladder step as it takes it,
-    and raises ValueError once the count passes that."""
+    the edges before it makes any, then one per ladder step it walks from
+    the last origin at or below tau_lo, or 0, skipping whole steps of _H_MAX
+    below tau_lo, and raises ValueError past that count or where the float
+    spacing at tau_hi passes 1e-8 of the finest step."""
     edges = [e for e in edges if tau_lo < e < tau_hi]
     n = 1 if fine_step is None else (tau_hi - tau_lo) / fine_step
     if not used + n + len(edges) <= _MAX_PANELS:
         raise ValueError(f"the history span [{tau_lo:g}, {tau_hi:g}] would "
                          f"take more than {_MAX_PANELS} panels")
+    step = min(fine_step or _H_MAX, _H_MAX)
+    if not math.ulp(tau_hi) <= 1e-8 * step:
+        raise ValueError(f"the history span [{tau_lo:g}, {tau_hi:g}] lies too "
+                         f"far back to resolve panels of {step:g}")
     n = max(1, math.ceil(n))
     pts = {tau_lo, tau_hi, *edges}
     pts.update((tau_lo + (tau_hi - tau_lo) * j / n) for j in range(1, n))
     used += n + len(edges)
     starts = sorted({o for o in origins if 0.0 < o < tau_hi})
-    tau, h, base = 0.0, h0, 0.0
+    below = [o for o in starts if o <= tau_lo]
+    tau = base = below[-1] if below else 0.0
+    starts, h = starts[len(below):], h0
     while (tau := tau + h) < tau_hi:
         if (used := used + 1) > _MAX_PANELS:
             raise ValueError(f"the panel ladder from h0 = {h0:g} at growth "
@@ -342,6 +354,8 @@ def _panels(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None, origins=(),
         if tau > tau_lo:
             pts.add(tau)
         h = min(max(h0, (growth - 1.0) * (tau - base)), _H_MAX)
+        if h == _H_MAX:  # whole steps below tau_lo make no panel
+            tau += max(0.0, (tau_lo - tau) // h) * h
     srt = sorted(pts)
     return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
@@ -540,19 +554,35 @@ def _history(a, lam, n_t, ks, xis, plan, source):
     source(ts, taus) gives its weights, broadcastable to (len(ts),
     len(taus)), and its transform at (k, xi - tau k), broadcastable to
     (len(taus),) + lattice and free of t in a group of several times.  A
-    block takes one kernel and one product per piece, a row and segment one
-    exp(-X_t(ta)), each zero past _EXPONENT_CUT.  The exponent never
-    decreases along tau: a piece stops at its first block wholly past the
-    cut, and a member once X_t is past it everywhere."""
+    kernel block takes one source call and per piece one kernel and one
+    product, which waits in the piece's rows of a stage as tall as a group's
+    most output times until the next block would not fit: then one matmul
+    contracts the panel, the first of a segment straight into its zero sums.
+    A row and segment take one exp(-X_t(ta)), each zero past _EXPONENT_CUT.
+    The exponent never decreases along tau: a piece stops, contracting what
+    it staged, at its first block wholly past the cut, and a member once X_t
+    is past it everywhere."""
     mats = a.matrices if a.kind == "time_piecewise" else (a.matrix,)
     quads = [_quadratics(m, ks, xis) for m in mats]
     lattice = tuple(len(k) for k in ks) + tuple(len(xi) for xi in xis)
-    block = max(1, _BLOCK // math.prod(lattice))
+    most = max((len(ts) for _, ts, *_ in plan), default=1)
+    block = max(1, min(_BLOCK // math.prod(lattice),  # no taller than a plan
+                       max((len(taus) for _, _, taus, *_ in plan), default=1)))
+    panel = max(block, most)
     out = np.zeros((n_t,) + lattice, dtype=complex)
     work_x = np.empty((block,) + lattice)
-    work_s = np.empty((block,) + lattice, dtype=complex)
-    work_c = np.empty((max((len(ts) for _, ts, *_ in plan), default=1),
-                       2 * math.prod(lattice)))
+    stage = np.empty((panel,) + lattice, dtype=complex)
+    W = np.empty((most, panel))
+    work_c = np.empty((most, 2 * math.prod(lattice)))
+
+    def contract(j, sl, m):
+        S = stage[base[j]:base[j] + m].reshape(m, -1).view(float)
+        if j in fresh:
+            fresh.remove(j)
+            np.matmul(W[sl, :m], S, out=rows[sl])
+        else:
+            rows[sl] += np.matmul(W[sl, :m], S, out=work_c[sl])
+
     for i, ts, taus, wts, segments in plan:
         group = out[i:i + len(ts)]
         taus_r = taus.reshape((-1,) + (1,) * len(lattice))
@@ -568,24 +598,33 @@ def _history(a, lam, n_t, ks, xis, plan, source):
                  for j, _ in runs for qkk, qkv, qvv in [quads[j]]}
             acc = np.zeros_like(group) if ta else group  # the segment's sums
             rows = acc.reshape(len(ts), -1).view(float)
-            active = runs
+            cap = panel // len(runs)  # the nodes a piece stages in its rows
+            # where its rows cannot hold a block, the pieces share the first
+            # rows, and each contracts every block at once
+            base = {j: k * cap if cap >= block else 0 for k, (j, _) in enumerate(runs)}
+            active, fresh, staged = runs, {j for j, _ in runs}, 0
             for b in range(s0, s1, block):
-                n, W, kept = min(block, s1 - b), None, []
+                n, shifted, kept = min(block, s1 - b), None, []
+                full = b + n == s1 or staged + n + block > cap
                 for j, sl in active:
                     K = _cubic(*q[j], taus_r[b:b + n] - ta, work_x[:n])
                     past = K > _EXPONENT_CUT
                     if past.all():
+                        if staged:
+                            contract(j, sl, staged)
                         continue
                     kept.append((j, sl))
                     np.exp(np.negative(K, out=K), out=K)
                     np.copyto(K, 0.0, where=past)
-                    if W is None:
+                    if shifted is None:
                         weights, shifted = source(ts, taus[b:b + n])
-                        # a real array: matmul takes a stride-0 view off BLAS
-                        W = np.multiply(wts[b:b + n], weights,
-                                        out=np.empty((len(ts), n)))
-                    S = np.multiply(K, shifted, out=work_s[:n]).reshape(n, -1)
-                    rows[sl] += np.matmul(W[sl], S.view(float), out=work_c[sl])
+                        np.multiply(wts[b:b + n], weights,
+                                    out=W[:len(ts), staged:staged + n])
+                    r = base[j] + staged
+                    np.multiply(K, shifted, out=stage[r:r + n])
+                    if full:
+                        contract(j, sl, staged + n)
+                staged = 0 if full else staged + n
                 if not (active := kept):
                     break
             for j, sl in runs:

@@ -569,6 +569,101 @@ class TestBlockedQuadrature:
         if block == "node":
             assert {n for n, _ in seen} == {1}
 
+    # 17 output times share one node set against kernel blocks of 7 nodes by
+    # default (a 129 x 32 half lattice) or 1, so the products of several
+    # blocks wait in the stage; the breakpoints split the group into one,
+    # two and three pieces, and lam = 28 takes every piece past the cut in
+    # the oldest segment, well before the history ends and, with either
+    # block, while the stage holds some of its products
+    @pytest.fixture(scope="class")
+    def staged_case(self):
+        spec = GridSpec(d=1, n_t=17, n_x=128, n_v=60, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        a = _piecewise_a((0.35, 0.7), (0.5, 1.0, 3.0), delta=0.1)
+        f = AnalyticSource((_pulse_term(0.4, 0.3, poly=(1.0, 0.3), amp=1.2,
+                                        sx=0.6, mx=0.7, px=2.1, sv=0.5, mv=0.9,
+                                        pv=1.3, cx=0.3, cv=-0.4),))
+        args = (a, 28.0, f, spec, SolveConfig())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_history",
+                          functools.partial(_per_panel_history,
+                                            args[-1].quad_order))
+            return args, solve_duhamel(*args).values
+
+    @pytest.mark.parametrize("block", ["node", "default"])
+    def test_staged_panels_match_the_per_panel_loop(self, monkeypatch,
+                                                    staged_case, block):
+        args, want = staged_case
+        if block == "node":
+            monkeypatch.setattr(solver, "_BLOCK", 1)
+        history, cubic, matmul = solver._history, solver._cubic, np.matmul
+        seen, events = [], []
+
+        def recorded(a, lam, n_t, ks, xis, plan, source):
+            cap = max(1, solver._BLOCK // math.prod(len(k) for k in ks + xis))
+            assert max(len(ts) for _, ts, *_ in plan) > cap
+
+            def counted(ts, taus):
+                seen.append((len(taus), cap))
+                return source(ts, taus)
+
+            return history(a, lam, n_t, ks, xis, plan, counted)
+
+        def recorded_cubic(*args, **kw):
+            E = cubic(*args, **kw)
+            events.append(bool(np.all(E > solver._EXPONENT_CUT)))
+            return E
+
+        def recorded_matmul(*args, **kw):
+            events.append("matmul")
+            return matmul(*args, **kw)
+
+        monkeypatch.setattr(solver, "_history", recorded)
+        monkeypatch.setattr(solver, "_cubic", recorded_cubic)
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
+        got = solve_duhamel(*args).values
+        monkeypatch.undo()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert seen and all(n <= cap for n, cap in seen)
+        # a piece that stops with staged nodes contracts them at once, so its
+        # kernel wholly past the cut is followed by a matmul
+        assert (True, "matmul") in set(zip(events, events[1:]))
+
+    # the traced peak of a closure-shaped solve is its named buffers: the
+    # history's output stack and the solve's half spectrum, the stage, W and
+    # work_c of the panels, work_x and a few kernel blocks of the source's
+    # temporaries, so a product that matmul allocated per panel would pass it
+    def test_closure_solve_traces_only_its_named_buffers(self):
+        spec = GridSpec(d=1, n_t=65, n_x=64, n_v=64, t_lo=0.0, t_hi=1.0,
+                        L_x=8.0 * math.pi, L_v=3.0 * math.pi)
+        f = AnalyticSource((
+            _pulse_term(0.5, 0.5, poly=(1.0, 0.2), sx=2.5, mx=0.2, px=0.3,
+                        mv=0.3, pv=0.5, cx=0.5, cv=0.1),
+            SourceTerm(TimeProfile(kind="boxcar", start=-40.0, stop=50.0),
+                       SpaceFactor(kind="v_mode", amplitude=0.4,
+                                   mode_freq=(3.0 * math.pi / spec.L_v,),
+                                   mode_phase=0.7))))
+        ks, xis = solver._half_lattice(spec)
+        lattice = math.prod(len(k) for k in ks + xis)
+        block = solver._BLOCK // lattice
+        panel = max(block, spec.n_t)
+        assert panel > 4 * block
+        complex_stack = spec.n_t * lattice * 16
+        bound = (2 * complex_stack           # output stack and half spectrum
+                 + panel * lattice * 16      # stage
+                 + complex_stack             # work_c
+                 + spec.n_t * panel * 8      # W
+                 + block * lattice * 8       # work_x
+                 + 4 * block * lattice * 16)  # source temporaries
+        solve_duhamel(_const_a(), 1.0, f, spec)
+        tracemalloc.start()
+        try:
+            solve_duhamel(_const_a(), 1.0, f, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     @pytest.mark.parametrize("case", ["constant", "piecewise", "sampled"])
     def test_output_times_share_one_node_set(self, monkeypatch, case):
         # the pulse's support starts at 0.36, after the breakpoint 0.35, so
@@ -748,16 +843,21 @@ def _refinement_count(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None,
 
 def _ladder_steps(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None,
                   origins=()):
-    """The steps the ladder of _panels takes below tau_hi, from 0 on: by h0,
-    then by (growth - 1) times the distance from the last origin passed, at
-    most _H_MAX."""
+    """The steps the ladder of _panels walks below tau_hi, from the last
+    origin at or below tau_lo on, or 0: by h0, then by (growth - 1) times the
+    distance from the last origin passed, at most _H_MAX, where the whole
+    steps of _H_MAX below tau_lo are skipped and not walked."""
     starts = sorted(o for o in origins if 0.0 < o < tau_hi)
-    steps, tau, base, h = 0, 0.0, 0.0, h0
+    below = [o for o in starts if o <= tau_lo]
+    tau = base = below[-1] if below else 0.0
+    starts, steps, h = starts[len(below):], 0, h0
     while (tau := tau + h) < tau_hi:
         steps += 1
         while starts and starts[0] <= tau:
             tau = base = starts.pop(0)
         h = min(max(h0, (growth - 1.0) * (tau - base)), solver._H_MAX)
+        if h == solver._H_MAX:
+            tau += max(0.0, (tau_lo - tau) // h) * h
     return steps
 
 
@@ -1229,6 +1329,35 @@ class TestSolveInvariants:
             assert message == ("the history span [0, 1e+300] would take "
                                "more than 100000 panels")
             assert peak < _REFUSED_PEAK
+
+    # _panels walks a far-past ladder from the last restart at or below
+    # tau_lo, skips its whole steps of _H_MAX below tau_lo and counts only
+    # the steps it walks, so a pulse 2.5e5 back lays out its few dozen panels
+    # under a cap of 100, across a far-back breakpoint where the kernel
+    # steepens too; with lam = 0 only the mean mode lives that long, the
+    # same as 1.5e3 back
+    @pytest.mark.parametrize("a", [_const_a(), _piecewise_a((-2.4e5,), (2.0, 1.0))],
+                             ids=["constant", "restart"])
+    def test_far_past_history_lays_out_only_what_it_uses(self, monkeypatch, a):
+        spec = GridSpec(d=1, n_t=5, n_x=8, n_v=8, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        near, far = (AnalyticSource((_pulse_term(c, 1.0),)) for c in (-1.5e3, -2.5e5))
+        want = solve_duhamel(_const_a(), 0.0, near, spec).values
+        monkeypatch.setattr(solver, "_MAX_PANELS", 100)
+        (plan,) = solver.check_history_start(a, 0.0, far, spec, SolveConfig())
+        assert 30 <= sum(len(taus) for _, _, taus, *_ in plan) // 8 <= 40
+        got = solve_duhamel(a, 0.0, far, spec).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # where the float spacing at the history's far end passes 1e-8 of the
+    # finest panel, the nodes lose the source, so the span is refused
+    def test_history_too_far_back_to_resolve_is_refused(self):
+        f = AnalyticSource((_pulse_term(-1e8, 1.0),))
+        for check in (solver.check_history_start, solve_duhamel):
+            with pytest.raises(ValueError) as info:
+                check(_const_a(), 0.0, f, self._grid(), SolveConfig())
+            assert str(info.value) == ("the history span [1e+08, 1e+08] lies "
+                                       "too far back to resolve panels of 1")
 
     # solve_duhamel runs check_history_start first and raises nothing itself
     # before its first history, so a dry run refuses exactly what a run does

@@ -473,7 +473,9 @@ def _real_grid(spec: GridSpec, c) -> np.ndarray:
     at its image with every Nyquist mode mirrored.  Over the box volume and
     with node_phase per axis, that mean is the half series irfftn reads: the
     real part of the inverse transform over the whole lattice.  Gathering on
-    every axis, time too, leaves the grid C-ordered.
+    every axis, time too, leaves the grid C-ordered.  irfftn's steps run
+    here in its order, the complex ones in place on the gathered half, so
+    the real grid, which the caller owns, is the one array they make.
     """
     box = (2.0 * spec.L_x) ** spec.d * (2.0 * spec.L_v) ** spec.d
     mirror, factor = [np.arange(len(c))], 0.5 / box
@@ -487,8 +489,9 @@ def _real_grid(spec: GridSpec, c) -> np.ndarray:
     half = c[np.ix_(*mirror)]
     half += c[tuple(map(slice, half.shape))]
     half *= factor
-    return np.fft.irfftn(half, s=spec.shape[1:], axes=tuple(range(1, c.ndim)),
-                         norm="forward")
+    for axis in range(1, c.ndim - 1):
+        np.fft.ifft(half, axis=axis, norm="forward", out=half)
+    return np.fft.irfft(half, n=spec.n_v, axis=-1, norm="forward")
 
 
 def _quadratics(A, ks, xis):
@@ -677,7 +680,9 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
 
     f is an AnalyticSource, or a GridField interpolated linearly between its
     time slices.  The source history must start at a finite time; the
-    solution below it is identically zero.
+    solution below it is identically zero.  The first Gaussian term's
+    history stack, times its position transform, is the half spectrum that
+    later Gaussian terms add into; a source without one inverts zeros.
     """
     cfg = config if config is not None else SolveConfig()
     plans = iter(check_history_start(a, lam, f, out_spec, cfg))
@@ -687,8 +692,7 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
         half = _history(a, lam, out_spec.n_t, ks, xis, next(plans),
                         _sampled_transform(f, ks[0], xis[0]))
     else:
-        terms = f.terms
-        half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
+        terms, half = f.terms, None
     modes = [term for term in terms if term.factor.kind == "v_mode"]
 
     def term_history(prof, ks, xis, shifted):
@@ -700,8 +704,11 @@ def solve_duhamel(a: CoefficientField, lam: float, f, out_spec: GridSpec,
         prof, fac = term.profile, term.factor
         if fac.kind == "gaussian":
             h = term_history(prof, ks, xis, partial(_v_hat_shifted, fac, ks, xis))
-            half += np.multiply(h, _x_hat(fac, ks, xis), out=h)
+            h *= _x_hat(fac, ks, xis)
+            half = h if half is None else np.add(half, h, out=half)
             del h  # free the stack before the next term's history
+    if half is None:
+        half = np.zeros((out_spec.n_t,) + tuple(map(len, ks + xis)), dtype=complex)
     u = _real_grid(out_spec, half)
     for term in modes:
         prof, fac = term.profile, term.factor

@@ -309,6 +309,63 @@ class TestHalfLattice:
     def test_short_axes_match_full_lattice(self, n_x, n_v, d, piecewise):
         _check_half_lattice(d, n_x, n_v, piecewise, (0, 0)[:d])
 
+    # _real_grid takes irfftn's steps itself, each complex one in place on
+    # the folded half: the same bits as irfftn of that half
+    @pytest.mark.parametrize("n_x,n_v", [(6, 7), (5, 8), (8, 8), (7, 5)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_grid_is_irfftn_of_the_folded_half(self, monkeypatch, n_x,
+                                                    n_v, d):
+        spec = GridSpec(d=d, n_t=3, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        ks, xis = solver._half_lattice(spec)
+        shape = (spec.n_t,) + tuple(len(k) for k in ks + xis)
+        rng = np.random.default_rng(10 * n_x + n_v + 100 * d)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ifft, folded, in_place = np.fft.ifft, [], []
+
+        def first_input_kept(a, *args, **kwargs):
+            if not folded:
+                folded.append(a.copy())
+            in_place.append(kwargs.get("out") is a)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", first_input_kept)
+        got = solver._real_grid(spec, c)
+        monkeypatch.undo()
+        assert in_place == [True] * (2 * d - 1)
+        want = np.fft.irfftn(folded[0], s=spec.shape[1:],
+                             axes=tuple(range(1, c.ndim)), norm="forward")
+        assert np.array_equal(got, want)
+
+    # later Gaussian terms add into the first one's stack, and a source with
+    # no Gaussian term inverts a zero half spectrum
+    @pytest.mark.parametrize("n_x,n_v", [(6, 7), (5, 8)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["two_gaussians", "v_mode_only"])
+    def test_gaussian_term_count_matches_full_lattice(self, n_x, n_v, d, kind):
+        spec = GridSpec(d=d, n_t=4, n_x=n_x, n_v=n_v, t_lo=0.0, t_hi=1.0,
+                        L_x=3.0, L_v=2.5)
+        a = _piecewise_a((0.35, 0.7), (1.0, 3.0, 0.5), d=d, delta=0.1)
+        step = math.pi / spec.L_v
+        terms = [SourceTerm(TimeProfile(kind="boxcar", start=-2.0, stop=0.7),
+                            SpaceFactor(kind="v_mode", amplitude=0.7,
+                                        mode_freq=(2 * step, step)[:d],
+                                        mode_phase=0.3))]
+        if kind == "two_gaussians":
+            terms += [SourceTerm(
+                TimeProfile(kind="pulse", center=center, width=0.3,
+                            poly=(1.0, 0.3)),
+                SpaceFactor(kind="gaussian", amplitude=amp,
+                            x_center=(0.3, -0.5)[:d], x_sigma=0.6,
+                            x_freq=(0.7, 0.2)[:d], x_phase=(2.1, 0.4)[:d],
+                            v_center=(vc, 0.6)[:d], v_sigma=0.5,
+                            v_freq=(0.9, 0.3)[:d], v_phase=(1.3, 5.0)[:d]))
+                for center, amp, vc in ((0.4, 1.2, -0.4), (0.6, -0.8, 0.5))]
+        f = AnalyticSource(tuple(terms))
+        want = _full_lattice_solve(a, 0.4, f, spec)
+        got = solve_duhamel(a, 0.4, f, spec).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_solver_builds_no_full_lattice(self, monkeypatch):
         spec = GridSpec(d=1, n_t=4, n_x=6, n_v=8, t_lo=0.0, t_hi=1.0,
                         L_x=3.0, L_v=2.5)
@@ -664,6 +721,39 @@ class TestBlockedQuadrature:
             tracemalloc.stop()
         assert peak < bound
 
+    # the first Gaussian term's history stack is the half spectrum, so the
+    # same solve fits in those buffers less one complex stack: a separate
+    # zeroed half spectrum that the stack is added into would pass it
+    def test_closure_solve_keeps_one_complex_output_stack(self):
+        spec = GridSpec(d=1, n_t=65, n_x=64, n_v=64, t_lo=0.0, t_hi=1.0,
+                        L_x=8.0 * math.pi, L_v=3.0 * math.pi)
+        f = AnalyticSource((
+            _pulse_term(0.5, 0.5, poly=(1.0, 0.2), sx=2.5, mx=0.2, px=0.3,
+                        mv=0.3, pv=0.5, cx=0.5, cv=0.1),
+            SourceTerm(TimeProfile(kind="boxcar", start=-40.0, stop=50.0),
+                       SpaceFactor(kind="v_mode", amplitude=0.4,
+                                   mode_freq=(3.0 * math.pi / spec.L_v,),
+                                   mode_phase=0.7))))
+        ks, xis = solver._half_lattice(spec)
+        lattice = math.prod(len(k) for k in ks + xis)
+        block = solver._BLOCK // lattice
+        panel = max(block, spec.n_t)
+        complex_stack = spec.n_t * lattice * 16
+        bound = (complex_stack               # output stack, the half spectrum
+                 + panel * lattice * 16      # stage
+                 + complex_stack             # work_c
+                 + spec.n_t * panel * 8      # W
+                 + block * lattice * 8       # work_x
+                 + 4 * block * lattice * 16)  # source temporaries
+        solve_duhamel(_const_a(), 1.0, f, spec)
+        tracemalloc.start()
+        try:
+            solve_duhamel(_const_a(), 1.0, f, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     @pytest.mark.parametrize("case", ["constant", "piecewise", "sampled"])
     def test_output_times_share_one_node_set(self, monkeypatch, case):
         # the pulse's support starts at 0.36, after the breakpoint 0.35, so
@@ -803,6 +893,40 @@ class TestNodePlan:
         assert str(info.value).startswith(f"the {kind}")
         assert str(info.value).endswith(f"more than {cap} panels")
 
+    # with tau_lo past where the step reaches _H_MAX, up to 1e6, _panels
+    # skips the whole steps below tau_lo: it takes exactly the panels that
+    # _ladder_steps counts, and they are those of a walk of every step
+    # within ulps, so a walk of every step would pass the cap
+    @given(past=st.floats(0.0, 1e6), span=st.floats(0.0, 40.0),
+           h0=st.floats(0.01, 2.0), growth=st.floats(1.01, 2.0),
+           edges=st.lists(st.floats(0.0, 45.0), max_size=4),
+           fine_step=st.one_of(st.none(), st.floats(0.3, 5.0)),
+           below=st.lists(st.floats(0.0, 1.0), max_size=3),
+           restarts=st.lists(st.floats(0.0, 45.0), max_size=2))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_panels_skip_whole_steps_far_past(self, past, span, h0, growth,
+                                             edges, fine_step, below,
+                                             restarts):
+        # a ladder from its last origin takes steps of _H_MAX from reach on
+        reach = solver._H_MAX / (growth - 1.0) + 2.0 * solver._H_MAX
+        tau_lo = min(1e6, reach + past)
+        tau_hi = tau_lo + span
+        origins = ([o * (tau_lo - reach) for o in below]
+                   + [tau_lo + r for r in restarts])
+        args = (tau_lo, tau_hi, h0, growth, [tau_lo + e for e in edges],
+                fine_step, origins)
+        got = solver._panels(*args)
+        want = _every_step_partition(*args)
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=0.0, atol=64 * math.ulp(tau_hi))
+        count = _refinement_count(*args) + _ladder_steps(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_MAX_PANELS", count)
+            assert solver._panels(*args) == got
+            patch.setattr(solver, "_MAX_PANELS", count - 1)
+            with pytest.raises(ValueError, match=f"more than {count - 1} panels"):
+                solver._panels(*args)
+
     # a history's groups share one budget, so a plan of one node set per
     # output time holds at most _MAX_PANELS panels in all
     def test_groups_share_one_budget(self, monkeypatch):
@@ -859,6 +983,32 @@ def _ladder_steps(tau_lo, tau_hi, h0, growth, edges=(), fine_step=None,
         if h == solver._H_MAX:
             tau += max(0.0, (tau_lo - tau) // h) * h
     return steps
+
+
+def _every_step_partition(tau_lo, tau_hi, h0, growth, edges=(),
+                          fine_step=None, origins=()):
+    """The partition of _panels with its ladder walked step by step from the
+    last origin at or below tau_lo, or 0: the steps of _H_MAX below tau_lo,
+    all but the last, are summed one by one in order by np.add.accumulate."""
+    edges = [e for e in edges if tau_lo < e < tau_hi]
+    n = 1 if fine_step is None else max(1, math.ceil((tau_hi - tau_lo) / fine_step))
+    pts = {tau_lo, tau_hi, *edges}
+    pts.update(tau_lo + (tau_hi - tau_lo) * j / n for j in range(1, n))
+    starts = sorted(o for o in origins if 0.0 < o < tau_hi)
+    below = [o for o in starts if o <= tau_lo]
+    tau = base = below[-1] if below else 0.0
+    starts, h = starts[len(below):], h0
+    while (tau := tau + h) < tau_hi:
+        while starts and starts[0] <= tau:
+            tau = base = starts.pop(0)
+        if tau > tau_lo:
+            pts.add(tau)
+        h = min(max(h0, (growth - 1.0) * (tau - base)), solver._H_MAX)
+        steps = int((tau_lo - tau) // h) - 1
+        if h == solver._H_MAX and steps > 0:
+            tau = float(np.add.accumulate(np.r_[tau, np.full(steps, h)])[-1])
+    srt = sorted(pts)
+    return [(a, b) for a, b in zip(srt[:-1], srt[1:]) if b - a > 1e-14]
 
 
 class TestAdmissibleRange:
